@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import boards
 from .errors import InvalidInputError, InvalidShapeError
-from .perms import Perm, avoids, involution_list, perm_from_text, perm_to_text
+from .perms import Perm, _matcher, avoids, involution_list, perm_from_text, perm_to_text
 
 PatternSet = frozenset[Perm]
 
@@ -36,10 +36,14 @@ def pattern_set_key(patterns: PatternSet) -> str:
 
 @cache
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
-    ordered = sorted(patterns, key=len)  # cheapest check first
+    # cheapest check first
+    matchers = [_matcher(sigma) for sigma in sorted(patterns, key=len)]
     count = 0
     for pi in involution_list(n):
-        if all(avoids(pi, sigma) for sigma in ordered):
+        for match in matchers:
+            if match(pi):
+                break
+        else:
             count += 1
     return count
 
@@ -200,8 +204,19 @@ class CountStore:
         self.path = os.fspath(path)
         self._data: dict[str, int] = {}
         if os.path.exists(self.path):
+            self._data = self._load()
+
+    def _load(self) -> dict[str, int]:
+        try:
             with open(self.path) as fh:
-                self._data = {k: int(v) for k, v in json.load(fh).items()}
+                data = json.load(fh)
+        except ValueError:  # undecodable bytes or malformed JSON
+            data = None
+        if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
+            raise InvalidInputError(
+                f"count store {self.path} is corrupt: expected a JSON object of integer counts"
+            )
+        return data
 
     def get(self, key: str) -> int | None:
         return self._data.get(key)

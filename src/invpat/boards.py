@@ -14,7 +14,7 @@ from functools import cache
 from typing import Iterator
 
 from .errors import InvalidPlacementError, InvalidShapeError
-from .perms import Perm, _pattern_links
+from .perms import Perm, _matcher
 
 Shape = tuple[int, ...]
 Box = tuple[int, int]
@@ -123,40 +123,11 @@ def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
     >>> placement_contains(p, (1, 2)), placement_contains(p, (2, 3, 1))
     (True, False)
     """
-    m = len(sigma)
-    if m == 0:
-        return True
     dots = sorted(p.dots)
     if columns is not None:
         allowed = set(columns)
         dots = [d for d in dots if d[0] in allowed]
-    n = len(dots)
-    if m > n:
-        return False
-    shape = p.shape
-    links = _pattern_links(sigma)
-    chosen = [0] * m
-
-    def search(d: int, start: int, ymax: int) -> bool:
-        lo, hi = links[d]
-        for idx in range(start, n - (m - d) + 1):
-            x, y = dots[idx]
-            if lo is not None and y < chosen[lo]:
-                continue
-            if hi is not None and y > chosen[hi]:
-                continue
-            # The corner box of the bounding rectangle so far must exist;
-            # shapes are down-closed, so failing now can never recover.
-            if not box_in_shape(shape, x, max(ymax, y)):
-                continue
-            if d + 1 == m:
-                return True
-            chosen[d] = y
-            if search(d + 1, idx + 1, max(ymax, y)):
-                return True
-        return False
-
-    return search(0, 0, 0)
+    return _matcher(sigma, board=True)(dots, p.shape)
 
 
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:

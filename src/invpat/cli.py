@@ -306,9 +306,19 @@ def cmd_scan(args):
     return params, records, lines, None
 
 
+def _worker_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--jobs", type=int, default=1, help="worker count")
+    sub.add_argument("--jobs", type=_worker_count, default=1, help="worker count (>= 1)")
     sub.add_argument("--cache", help=f"memo store path (or ${CACHE_ENV})")
     sub.add_argument("--no-timing", action="store_true", help="suppress timing output")
 

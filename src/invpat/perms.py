@@ -106,42 +106,94 @@ def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None], ...]:
     return tuple(links)
 
 
+# CPython refuses more than 20 statically nested blocks, so the matcher for
+# a longer pattern is a chain of functions, each nesting this many loops.
+_LEVELS_PER_FUNCTION = 16
+
+
+def _matcher_source(sigma: Perm, board: bool) -> str:
+    # One nested `for` per pattern position d.  Level d scans the candidates
+    # left once the m - 1 - d later positions are reserved, and keeps value
+    # v<d> only if it lies between the values at its two linked earlier
+    # positions.  The board form reads (x, y) dots and also demands that the
+    # box at (x<d>, largest y so far) exists; that y is the value at the
+    # position of the largest of sigma[:d + 1], so it is known here, and
+    # when it is v<d> itself the box is the dot's own and needs no test.
+    # The source holds only integer literals and fixed names, no caller text.
+    m = len(sigma)
+    head = "seq, shape" if board else "seq"
+    if m == 0:
+        return f"def match({head}):\n    return True\n"
+    links = _pattern_links(sigma)
+    top = [max(range(d + 1), key=sigma.__getitem__) for d in range(m)]
+    reads = [
+        {e for e in (*links[d], top[d] if board else None) if e is not None}
+        for d in range(m)
+    ]
+
+    def carried(k: int) -> str:
+        # values chosen before level k that level k or a later one reads
+        kept = sorted({e for d in range(k, m) for e in reads[d] if e < k})
+        return "".join(f", v{e}" for e in kept)
+
+    lines = []
+    for first in range(0, m, _LEVELS_PER_FUNCTION):
+        last = min(first + _LEVELS_PER_FUNCTION, m)
+        if first == 0:
+            lines += [f"def match({head}):", f"    e = len(seq) - {m - 1}"]
+        else:
+            lines.append(f"def level{first}({head}, e, i{first - 1}{carried(first)}):")
+        pad = "    "
+        for d in range(first, last):
+            start = f"i{d - 1} + 1" if d else "0"
+            stop = f"e + {d}" if d else "e"
+            lines.append(f"{pad}for i{d} in range({start}, {stop}):")
+            pad += "    "
+            lines.append(f"{pad}{f'x{d}, ' if board else ''}v{d} = seq[i{d}]")
+            lo, hi = links[d]
+            if lo is not None or hi is not None:
+                low = f"v{lo} < " if lo is not None else ""
+                high = f" < v{hi}" if hi is not None else ""
+                lines += [f"{pad}if not {low}v{d}{high}:", f"{pad}    continue"]
+            if board and top[d] != d:
+                lines += [f"{pad}if x{d} > shape[v{top[d]} - 1]:", f"{pad}    continue"]
+            if d == m - 1:
+                lines.append(f"{pad}return True")
+            elif d == last - 1:
+                lines += [
+                    f"{pad}if level{last}({head}, e, i{d}{carried(last)}):",
+                    f"{pad}    return True",
+                ]
+        lines.append("    return False")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _matcher(sigma: Perm, board: bool = False):
+    """The compiled containment test for one pattern, built on first use.
+
+    The word form is called as match(seq); the board form as
+    match(dots, shape) with dots sorted by column.
+    """
+    namespace: dict = {}
+    source = _matcher_source(sigma, board)
+    exec(compile(source, f"<matcher m={len(sigma)}>", "exec"), namespace)
+    return namespace["match"]
+
+
 def contains(pi: Sequence[int], sigma: Perm) -> bool:
     """True iff some subsequence of pi has pattern sigma.
 
     pi may be any sequence of distinct integers; only relative order is
-    used.  The empty pattern is contained in everything.
+    used.  The empty pattern is contained in everything.  The test runs the
+    matcher compiled for sigma on its first use.
 
     >>> contains((1, 2, 7, 9, 6, 5, 3, 8, 4), (1, 2, 3, 5, 4))
     True
     >>> contains((2, 1, 4, 3), (1, 2, 3, 4))
     False
     """
-    m = len(sigma)
-    if m == 0:
-        return True
-    n = len(pi)
-    if m > n:
-        return False
-    links = _pattern_links(sigma)
-    chosen = [0] * m
-
-    def search(d: int, start: int) -> bool:
-        lo, hi = links[d]
-        for pos in range(start, n - (m - d) + 1):
-            v = pi[pos]
-            if lo is not None and v < chosen[lo]:
-                continue
-            if hi is not None and v > chosen[hi]:
-                continue
-            if d + 1 == m:
-                return True
-            chosen[d] = v
-            if search(d + 1, pos + 1):
-                return True
-        return False
-
-    return search(0, 0)
+    return _matcher(sigma)(pi)
 
 
 def avoids(pi: Sequence[int], sigma: Perm) -> bool:

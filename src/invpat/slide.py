@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import boards
 from .boards import Placement, Shape
-from .errors import InvalidInputError, InvalidShapeError
+from .errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
 
 Move = tuple[tuple[int, int], tuple[int, int], str]
 
@@ -240,6 +240,13 @@ def _merge_split(p: Placement, ctx: SlideContext):
     return Placement(p.shape, frozenset(new_dots)), moves
 
 
+def _ensure(holds: bool, failure: str) -> None:
+    # A post-condition of the slide; failing one is a fault in this module,
+    # so it must raise even where assertions are stripped.
+    if not holds:
+        raise InvalidPlacementError(f"slide output {failure}")
+
+
 def slide_transform_with_trace(p: Placement, i: int, j: int):
     """The slide map together with its list of (from, to, label) moves."""
     ctx = slide_context(p, i, j)
@@ -250,13 +257,20 @@ def slide_transform_with_trace(p: Placement, i: int, j: int):
         out, moves = _merge_split(p, ctx)
     else:
         out, moves = _cyclic_reseat(p, ctx)
-    assert boards.is_symmetric(out) and boards.is_full(out)
-    assert not boards.placement_contains(out, (3, 2, 1))
+    _ensure(boards.is_symmetric(out), "is not symmetric")
+    _ensure(boards.is_full(out), "is not full")
+    _ensure(not boards.placement_contains(out, (3, 2, 1)), "contains 321")
     window = range(i + 1, i + j + 1)
-    assert not boards.placement_contains(out, (2, 1), columns=window)
+    _ensure(
+        not boards.placement_contains(out, (2, 1), columns=window),
+        f"contains 21 in columns {i + 1}..{i + j}",
+    )
     # a changed placement has left the domain, which keeps the map injective
     if out != p:
-        assert boards.placement_contains(out, (2, 1), columns=range(i, i + j))
+        _ensure(
+            boards.placement_contains(out, (2, 1), columns=range(i, i + j)),
+            f"changed but avoids 21 in columns {i}..{i + j - 1}",
+        )
     return out, moves
 
 
@@ -342,7 +356,8 @@ def slide_inverse_with_trace(p: Placement, i: int, j: int):
                 imap[col] = col - 1
         out, moves = _apply_index_map(p, imap, "reseat")
 
-    assert boards.is_symmetric(out) and boards.is_full(out)
+    _ensure(boards.is_symmetric(out), "is not symmetric")
+    _ensure(boards.is_full(out), "is not full")
     if boards.placement_contains(out, (3, 2, 1)):
         raise InvalidInputError("placement is not in the image of the slide")
     if boards.placement_contains(out, (2, 1), columns=range(i, i_j)):

@@ -1,14 +1,17 @@
 """Shapes, placements, and board containment."""
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpat import boards
 from invpat.errors import InvalidPlacementError, InvalidShapeError
-from invpat.perms import contains, involution_list
+from invpat.perms import contains, involution_list, pattern_of
 from invpat.boards import (
     Placement,
+    box_in_shape,
     conjugate,
     enumerate_full_placements,
     enumerate_self_conjugate_shapes,
@@ -97,6 +100,81 @@ def test_placement_contains_column_restriction():
     p = graph_of((2, 1, 4, 3))
     assert placement_contains(p, (2, 1), columns=range(1, 3))
     assert not placement_contains(p, (2, 1), columns=range(2, 4))
+
+
+def naive_placement_contains(p, sigma, columns=None):
+    # every set of m dots: heights with pattern sigma, and the corner box
+    # (last column, largest height) of their bounding rectangle in the shape
+    dots = sorted(d for d in p.dots if columns is None or d[0] in columns)
+    for chosen in combinations(dots, len(sigma)):
+        heights = [y for _, y in chosen]
+        if pattern_of(heights) != sigma:
+            continue
+        if not chosen or box_in_shape(p.shape, chosen[-1][0], max(heights)):
+            return True
+    return False
+
+
+# self-conjugate shapes of side <= 6 that carry a symmetric full placement
+SHAPES = [
+    s for s in sorted(enumerate_self_conjugate_shapes(6)) if boards.symmetric_full_placements(s)
+]
+KERNEL = settings(max_examples=600, deadline=None, derandomize=True)
+
+
+def patterns(max_len):
+    return st.integers(0, max_len).flatmap(lambda m: st.permutations(range(1, m + 1))).map(tuple)
+
+
+@st.composite
+def thinned_symmetric_placements(draw):
+    # a symmetric full placement on a self-conjugate shape of side <= 6,
+    # with each dot kept or dropped
+    shape = draw(st.sampled_from(SHAPES))
+    full = draw(st.sampled_from(boards.symmetric_full_placements(shape)))
+    kept = [d for d in sorted(full.dots) if draw(st.booleans()) or draw(st.booleans())]
+    return Placement(shape, frozenset(kept))
+
+
+@KERNEL
+@given(st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1))), patterns(5))
+def test_board_kernel_agrees_with_word_kernel_on_graphs(pi, sigma):
+    assert placement_contains(graph_of(tuple(pi)), sigma) == contains(tuple(pi), sigma)
+
+
+@KERNEL
+@given(thinned_symmetric_placements(), patterns(5), st.data())
+def test_board_kernel_matches_brute_force(p, sigma, data):
+    side = p.shape[0] if p.shape else 0
+    columns = data.draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(1, side + 1), st.integers(0, side)).map(
+                lambda ab: range(ab[0], ab[0] + ab[1])
+            ),
+            st.frozensets(st.integers(1, side + 1)),
+        )
+    )
+    expected = naive_placement_contains(p, sigma, columns)
+    assert placement_contains(p, sigma, columns=columns) == expected
+
+
+def test_board_kernel_chains_past_the_nesting_limit():
+    # the 30 x 30 square without its top-right box, dots on the diagonal up
+    # to 28 and then (29, 30), (30, 29): all 30 dots have pattern
+    # 1..28 30 29, but their corner box (30, 30) is missing
+    shape = (30,) * 29 + (29,)
+    dots = [(i, i) for i in range(1, 29)] + [(29, 30), (30, 29)]
+    p = make_placement(shape, dots)
+    sigma = tuple(range(1, 29)) + (30, 29)
+    assert not placement_contains(p, sigma)
+    assert placement_contains(make_placement(square(30), dots), sigma)
+    assert placement_contains(p, tuple(range(1, 30)))
+    assert placement_contains(p, tuple(range(1, 29)), columns=range(1, 29))
+    assert not placement_contains(p, tuple(range(1, 30)), columns=range(1, 29))
+    ident = tuple(range(1, 26))
+    assert placement_contains(graph_of(tuple(range(1, 31))), ident)
+    assert not placement_contains(graph_of(tuple(range(30, 0, -1))), ident)
 
 
 def test_full_placement_counts_on_squares():

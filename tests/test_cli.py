@@ -163,3 +163,28 @@ def test_cache_flag(tmp_path, capsys):
     assert run(argv) == 0  # served from the store
     out, _ = out_of(capsys)
     assert out.endswith("51\n")
+
+
+@pytest.mark.parametrize(
+    "jobs, message", [("0", "at least 1"), ("-2", "at least 1"), ("two", "not an integer")]
+)
+def test_bad_jobs_is_a_usage_error(capsys, jobs, message):
+    argv = ["classify", "--k", "3", "--n-max", "5", "--jobs", jobs, "--no-timing"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "--jobs" in err and message in err
+
+
+def test_corrupt_store_is_named(tmp_path, capsys):
+    path = tmp_path / "memo.json"
+    path.write_text("{")
+    argv = ["count", "--n", "6", "--patterns", "1234", "--cache", str(path), "--no-timing"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert str(path) in err and "corrupt" in err
+    assert "Expecting" not in err
+    path.write_text('{"1234|6": "many"}')  # a count that is not an integer
+    assert run(argv) == 2
+    assert str(path) in out_of(capsys)[1]

@@ -2,6 +2,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpat.errors import InvalidWordError
 from invpat.perms import (
@@ -74,6 +76,46 @@ def test_contains_accepts_arbitrary_distinct_values():
     assert contains((10, 40, 20), (1, 3, 2))
     assert avoids((10, 40, 20), (3, 2, 1))
     assert contains((5,), ())
+
+
+@st.composite
+def words_with_patterns(draw):
+    # a word of n <= 9 distinct integers, as a tuple or a list, and a
+    # pattern of length m <= 6; half the words have an occurrence planted
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(0, 6))
+    sigma = tuple(draw(st.permutations(range(1, m + 1))))
+    if m <= n and draw(st.booleans()):
+        word = [10 * v for v in sigma]
+        fillers = st.integers(1, 10 * m + 9).filter(lambda v: v % 10)
+        for value in draw(st.lists(fillers, min_size=n - m, max_size=n - m, unique=True)):
+            word.insert(draw(st.integers(0, len(word))), value)
+    else:
+        word = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n, unique=True))
+    shift = draw(st.integers(-(10**9), 10**9))
+    word = [v + shift for v in word]
+    return (word if draw(st.booleans()) else tuple(word)), sigma
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(words_with_patterns())
+def test_compiled_contains_matches_brute_force(case):
+    pi, sigma = case
+    assert contains(pi, sigma) == naive_contains(pi, sigma)
+
+
+def test_contains_chains_past_the_nesting_limit():
+    # CPython nests at most 20 blocks, so these matchers span several functions
+    ident = tuple(range(1, 26))
+    assert contains(tuple(range(1, 31)), ident)
+    assert not contains(tuple(range(30, 0, -1)), ident)
+    sigma = (3, 1, 22, 2, 5, 4, 21, 7, 6, 9, 8, 20, 11, 10, 13, 12, 19, 15, 14, 17, 16, 18)
+    padded = tuple(10 * v for v in sigma[:11]) + (1, 999) + tuple(10 * v for v in sigma[11:])
+    assert contains(padded, sigma)
+    # one swap leaves a single subsequence of length m, with another pattern
+    swapped = sigma[:15] + (sigma[16], sigma[15]) + sigma[17:]
+    assert not contains(swapped, sigma)
+    assert contains(swapped, swapped)
 
 
 def test_involution_counts_match_known_sequence():

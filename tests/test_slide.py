@@ -1,9 +1,9 @@
 """The window slide: cases, round trips, and the frame statistics."""
 import pytest
 
-from invpat import boards
+from invpat import boards, slide
 from invpat.boards import graph_of, make_placement, symmetric_full_placements
-from invpat.errors import InvalidInputError, InvalidShapeError
+from invpat.errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
 from invpat.slide import (
     classify_slide_case,
     flank_avoiding_count,
@@ -77,6 +77,20 @@ def test_slide_merge_split_case():
     out = slide_transform(p, 1, 2)
     assert out == graph_of((2, 1, 3, 4))
     assert slide_inverse(out, 1, 2) == p
+
+
+@pytest.mark.parametrize(
+    "bad, failure",
+    [
+        (graph_of((3, 2, 1, 4)), "contains 321"),
+        (make_placement((4, 4, 4, 4), [(1, 2), (2, 3), (3, 1), (4, 4)]), "symmetric"),
+    ],
+)
+def test_slide_postconditions_raise_named_error(monkeypatch, bad, failure):
+    # a case map that breaks the slide's contract is caught by name
+    monkeypatch.setattr(slide, "_merge_split", lambda p, ctx: (bad, []))
+    with pytest.raises(InvalidPlacementError, match=failure):
+        slide_transform(graph_of((1, 3, 2, 4)), 1, 2)
 
 
 def test_all_six_cases_appear():
