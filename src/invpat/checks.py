@@ -91,13 +91,16 @@ def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
     for mu in shapes:
         placements = boards.symmetric_full_placements(mu)
         for j in (1, 2, 3):
+            prefixes = _prefixes(j)
             for t in _suffix_sets(j):
-                for sigma in _prefixes(j):
-                    good = sum(
-                        1
-                        for p in placements
-                        if reduction.verify_reduction_equivalence(mu, p, sigma, t)
-                    )
+                # the reduced board depends on the placement and t, not the prefix
+                goods = [0] * len(prefixes)
+                for p in placements:
+                    rb = reduction.suffix_reduction(mu, p, t)
+                    for i, sigma in enumerate(prefixes):
+                        if reduction.verify_reduction_equivalence(p, rb, sigma, t):
+                            goods[i] += 1
+                for sigma, good in zip(prefixes, goods):
                     records.append(
                         _record(
                             "reduction-equivalence",

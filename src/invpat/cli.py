@@ -180,7 +180,7 @@ def cmd_reduce(args):
     results = [result]
     if args.prefix:
         sigma = perm_from_text(args.prefix)
-        ok = reduction.verify_reduction_equivalence(p.shape, p, sigma, t)
+        ok = reduction.verify_reduction_equivalence(p, rb, sigma, t)
         result["prefix"] = args.prefix
         result["equivalent"] = ok
     lines = [

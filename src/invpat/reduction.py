@@ -17,7 +17,7 @@ from itertools import combinations
 from . import boards
 from .boards import Placement, Shape
 from .errors import InvalidInputError, InvalidPatternError, InvalidPlacementError
-from .perms import Perm, is_involution, pattern_of
+from .perms import Perm, is_involution
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,22 @@ def _suffix_corners(p: Placement, t: SuffixSet) -> set[tuple[int, int]]:
     # For each occurrence of a suffix pattern (bounded by a rectangle of the
     # shape), record the box just southwest of all its dots.  Only these
     # corners matter; the marked region is the union of their rectangles.
+    # Dots sit in distinct rows, so an m-subset of dots (sorted by column)
+    # forms tau exactly when its heights, read at tau's positions in order
+    # of increasing value, strictly increase.
     corners: set[tuple[int, int]] = set()
     dots = sorted(p.dots)
     for tau in t.suffixes:
-        pat = pattern_of(tau)
-        m = len(pat)
-        for combo in combinations(dots, m):
-            heights = [y for _, y in combo]
-            if pattern_of(heights) != pat:
+        by_value = sorted(range(len(tau)), key=tau.__getitem__)
+        low, high = by_value[0], by_value[-1]
+        pairs = list(zip(by_value, by_value[1:]))
+        for combo in combinations(dots, len(tau)):
+            if any(combo[a][1] >= combo[b][1] for a, b in pairs):
                 continue
-            if not boards.box_in_shape(p.shape, combo[-1][0], max(heights)):
+            if not boards.box_in_shape(p.shape, combo[-1][0], combo[high][1]):
                 continue
-            cx = min(x for x, _ in combo) - 1
-            cy = min(heights) - 1
+            cx = combo[0][0] - 1
+            cy = combo[low][1] - 1
             if cx >= 1 and cy >= 1:
                 corners.add((cx, cy))
     return corners
@@ -116,27 +119,25 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
     for a, b in corners:
         for x in range(1, a + 1):
             heights[x] = max(heights[x], b)
-    mu_cols = boards.column_heights(mu)
-    region = [min(heights[x], mu_cols[x - 1]) for x in range(1, len(mu) + 1)]
+    # mu is self-conjugate, so column x of mu has height mu[x - 1]
+    region = [min(heights[x], mu[x - 1]) for x in range(1, len(mu) + 1)]
 
     def in_region(x: int, y: int) -> bool:
         return 1 <= x <= len(region) and 1 <= y <= region[x - 1]
 
     kept_cols = tuple(sorted(x for x, y in p.dots if in_region(x, y)))
     kept_rows = tuple(sorted(y for x, y in p.dots if in_region(x, y)))
-    assert kept_cols == kept_rows, "symmetry must keep the same rows and columns"
+    if kept_cols != kept_rows:
+        raise InvalidPlacementError(
+            f"reduced board keeps columns {kept_cols} but rows {kept_rows}"
+        )
 
     col_rank = {x: r for r, x in enumerate(kept_cols, start=1)}
     row_rank = {y: s for s, y in enumerate(kept_rows, start=1)}
-    parts = []
-    for y in kept_rows:
-        parts.append(sum(1 for x in kept_cols if in_region(x, y)))
-    parts = tuple(sorted((p_ for p_ in parts if p_ > 0), reverse=True))
-    # row s of the new shape corresponds to kept_rows[s-1]; check alignment
-    row_lengths = {row_rank[y]: sum(1 for x in kept_cols if in_region(x, y)) for y in kept_rows}
-    shape = tuple(row_lengths[s] for s in range(1, len(kept_rows) + 1))
-    assert tuple(sorted(shape, reverse=True)) == parts
-    shape = boards.validate_shape(shape)
+    # row s of the new shape is kept_rows[s-1], cut to the kept columns
+    shape = boards.validate_shape(
+        sum(1 for x in kept_cols if in_region(x, y)) for y in kept_rows
+    )
 
     induced = Placement(
         shape,
@@ -144,18 +145,26 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
             (col_rank[x], row_rank[y]) for x, y in p.dots if in_region(x, y)
         ),
     )
-    assert boards.is_symmetric(induced) and boards.is_full(induced)
+    if not boards.is_symmetric(induced):
+        raise InvalidPlacementError(f"induced placement is not symmetric: {induced}")
+    if not boards.is_full(induced):
+        raise InvalidPlacementError(f"induced placement is not full: {induced}")
     return ReducedBoard(shape, induced, kept_cols, kept_rows)
 
 
-def verify_reduction_equivalence(mu: Shape, p: Placement, sigma: Perm, t: SuffixSet) -> bool:
+def verify_reduction_equivalence(
+    p: Placement, rb: ReducedBoard, sigma: Perm, t: SuffixSet
+) -> bool:
     """Whether [p contains some prefix+suffix pattern] iff [the induced
     placement on the reduced board contains the prefix].  Always true.
+
+    rb is the reduced board of p for t, ``suffix_reduction(p.shape, p, t)``;
+    it does not depend on the prefix, so a caller trying several prefixes
+    builds it once.
     """
     sigma = tuple(sigma)
     patterns = t.patterns_with_prefix(sigma)
     lhs = any(boards.placement_contains(p, pat) for pat in patterns)
-    rb = suffix_reduction(mu, p, t)
     rhs = boards.placement_contains(rb.induced, sigma)
     return lhs == rhs
 

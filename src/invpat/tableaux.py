@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
+from .boards import validate_shape
 from .errors import InvalidTableauError
 from .perms import Perm, validate_perm
 
@@ -160,28 +161,34 @@ def check_reversal_property(w: Perm) -> bool:
 
 
 def standard_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
-    """Yield every standard tableau of the given shape.
+    """Yield every standard tableau of the given shape, which must be a
+    partition (InvalidShapeError otherwise).
 
-    Built by removing the largest entry from an outer corner and recursing.
+    One grid is filled in place with n, n-1, ..., 1, each placed in an
+    outer corner of the cells still empty, rows tried top to bottom.  The
+    tableaux therefore come out ordered by (row of n, row of n-1, ...,
+    row of 1).
+
+    >>> list(standard_tableaux((2, 1)))
+    [((1, 3), (2,)), ((1, 2), (3,))]
     """
-    n = sum(shape)
-    if n == 0:
-        yield ()
-        return
-    for r in range(len(shape)):
-        at_corner = shape[r] > (shape[r + 1] if r + 1 < len(shape) else 0)
-        if not at_corner:
-            continue
-        smaller = list(shape)
-        smaller[r] -= 1
-        if smaller[r] == 0:
-            smaller.pop(r)
-        for t in standard_tableaux(tuple(smaller)):
-            rows = [list(row) for row in t]
-            if r == len(rows):
-                rows.append([])
-            rows[r].append(n)
-            yield tuple(tuple(row) for row in rows)
+    shape = validate_shape(shape)
+    grid = [[0] * length for length in shape]
+    left = list(shape)  # empty cells left in each row
+    last = len(left) - 1
+
+    def fill(v: int) -> Iterator[Tableau]:
+        if not v:
+            yield tuple(map(tuple, grid))
+            return
+        for r, c in enumerate(left):
+            if c and (r == last or left[r + 1] < c):
+                left[r] = c - 1
+                grid[r][c - 1] = v
+                yield from fill(v - 1)
+                left[r] = c
+
+    yield from fill(sum(shape))
 
 
 def tableau_to_text(t: Tableau) -> str:
