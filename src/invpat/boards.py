@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvalidPlacementError, InvalidShapeError
@@ -38,9 +39,15 @@ def conjugate(shape: Shape) -> Shape:
     >>> conjugate((2, 1, 1))
     (3, 1)
     """
-    if not shape:
+    width = shape[0] if shape else 0
+    if width < 1:
         return ()
-    return tuple(sum(1 for p in shape if p >= i) for i in range(1, shape[0] + 1))
+    ends = [0] * (width + 1)  # ends[x]: parts ending in column x, cut at the width
+    for part in shape:
+        if part > 0:
+            ends[part if part < width else width] += 1
+    # column x holds a box of every part that ends at or right of x
+    return tuple(accumulate(ends[:0:-1]))[::-1]
 
 
 def is_self_conjugate(shape: Shape) -> bool:

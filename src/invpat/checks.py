@@ -93,12 +93,13 @@ def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
         for j in (1, 2, 3):
             prefixes = _prefixes(j)
             for t in _suffix_sets(j):
-                # the reduced board depends on the placement and t, not the prefix
+                # boards depend on (placement, t), patterns on (prefix, t)
+                patterns = [t.patterns_with_prefix(sigma) for sigma in prefixes]
                 goods = [0] * len(prefixes)
                 for p in placements:
                     rb = reduction.suffix_reduction(mu, p, t)
-                    for i, sigma in enumerate(prefixes):
-                        if reduction.verify_reduction_equivalence(p, rb, sigma, t):
+                    for i, (sigma, pats) in enumerate(zip(prefixes, patterns)):
+                        if reduction.verify_reduction_equivalence(p, rb, sigma, pats):
                             goods[i] += 1
                 for sigma, good in zip(prefixes, goods):
                     records.append(
@@ -320,7 +321,8 @@ def check_slide_bijection(max_side: int = 6) -> list[dict]:
 
 def check_rsk_properties(n_max: int = 5) -> list[dict]:
     """Row insertion is a bijection, symmetry of the graph shows up as
-    equal tableaux, evacuation is an involution, and reversal transposes.
+    equal tableaux, and reversal transposes, for n <= n_max; evacuation is
+    an involution on every shape in the box of side min(n_max, 4).
     """
     records = []
     for n in range(0, n_max + 1):
@@ -344,7 +346,7 @@ def check_rsk_properties(n_max: int = 5) -> list[dict]:
             _record("rsk-involution-symmetry", f"n={n}", involution_match, len(perms))
         )
         records.append(_record("rsk-reversal", f"n={n}", reversal, len(perms)))
-    for shape in _partitions_in_box(4):
+    for shape in _partitions_in_box(min(n_max, 4)):
         if not shape:
             continue
         tabs = list(tableaux.standard_tableaux(shape))

@@ -180,7 +180,8 @@ def cmd_reduce(args):
     results = [result]
     if args.prefix:
         sigma = perm_from_text(args.prefix)
-        ok = reduction.verify_reduction_equivalence(p, rb, sigma, t)
+        patterns = t.patterns_with_prefix(sigma)
+        ok = reduction.verify_reduction_equivalence(p, rb, sigma, patterns)
         result["prefix"] = args.prefix
         result["equivalent"] = ok
     lines = [

@@ -153,19 +153,17 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
 
 
 def verify_reduction_equivalence(
-    p: Placement, rb: ReducedBoard, sigma: Perm, t: SuffixSet
+    p: Placement, rb: ReducedBoard, sigma: Perm, patterns: frozenset[Perm]
 ) -> bool:
     """Whether [p contains some prefix+suffix pattern] iff [the induced
     placement on the reduced board contains the prefix].  Always true.
 
-    rb is the reduced board of p for t, ``suffix_reduction(p.shape, p, t)``;
-    it does not depend on the prefix, so a caller trying several prefixes
-    builds it once.
+    rb is ``suffix_reduction(p.shape, p, t)`` and patterns is
+    ``t.patterns_with_prefix(sigma)`` for one suffix set t; a caller trying
+    several placements and prefixes builds each once.
     """
-    sigma = tuple(sigma)
-    patterns = t.patterns_with_prefix(sigma)
     lhs = any(boards.placement_contains(p, pat) for pat in patterns)
-    rhs = boards.placement_contains(rb.induced, sigma)
+    rhs = boards.placement_contains(rb.induced, tuple(sigma))
     return lhs == rhs
 
 

@@ -130,12 +130,9 @@ class SlideContext:
     w: int
 
 
-def _window_dots(p: Placement, lo: int, hi: int) -> list[tuple[int, int]]:
-    return sorted(d for d in p.dots if lo <= d[0] <= hi)
-
-
-def slide_context(p: Placement, i: int, j: int) -> SlideContext:
-    """Extract and validate the window data for the slide at (i, j)."""
+def _checked_window(p: Placement, i: int, j: int, lo: int) -> list[tuple[int, int]]:
+    """Validate the input of the slide or its inverse at (i, j) and return
+    the dots of columns lo..lo+j-1, which must avoid 21."""
     shape = p.shape
     narrow = shape[-1] if shape else 0
     if not (i >= 1 and i < narrow and 1 <= j <= narrow - i):
@@ -146,18 +143,27 @@ def slide_context(p: Placement, i: int, j: int) -> SlideContext:
         raise InvalidInputError("placement must be symmetric and full")
     if boards.placement_contains(p, (3, 2, 1)):
         raise InvalidInputError("placement must avoid 321")
-    cols = boards.column_heights(shape)
-    # the first narrow columns of a self-conjugate shape reach full height
-    assert all(cols[c - 1] == shape[0] for c in range(i, i + j))
-    window = _window_dots(p, i, i + j - 1)
+    window = sorted(d for d in p.dots if lo <= d[0] < lo + j)
     heights = [y for _, y in window]
     if any(heights[a] > heights[a + 1] for a in range(len(heights) - 1)):
-        raise InvalidInputError(f"columns {i}..{i + j - 1} must avoid 21")
+        raise InvalidInputError(f"columns {lo}..{lo + j - 1} must avoid 21")
+    return window
+
+
+def slide_context(p: Placement, i: int, j: int) -> SlideContext:
+    """Extract and validate the window data for the slide at (i, j)."""
+    window = _checked_window(p, i, j, i)
+    top = p.shape[0]
+    cols = boards.column_heights(p.shape)
+    # the first narrow columns of a self-conjugate shape reach full height
+    if any(cols[c - 1] != top for c in range(i, i + j)):
+        raise InvalidPlacementError(f"columns {i}..{i + j - 1} are not all {top} high")
     below = tuple(d for d in window if d[1] < d[0])
     on_diag = tuple(d for d in window if d[1] == d[0])
     above = tuple(d for d in window if d[1] > d[0])
     # within the window: below-diagonal dots first, then diagonal, then above
-    assert window == sorted(below) + sorted(on_diag) + sorted(above)
+    if window != sorted(below) + sorted(on_diag) + sorted(above):
+        raise InvalidPlacementError(f"window {window} is not ordered below, on, above")
     (w,) = [y for x, y in p.dots if x == i + j]
     return SlideContext(i, j, below, on_diag, above, w)
 
@@ -196,7 +202,8 @@ def _cyclic_reseat(p: Placement, ctx: SlideContext):
     i, j, w = ctx.i, ctx.j, ctx.w
     window = sorted(ctx.below + ctx.on_diag + ctx.above)
     v = sum(1 for _, y in window if y > w)
-    assert v >= 1
+    if v < 1:
+        raise InvalidPlacementError(f"no window dot lies above w={w} to reseat")
     imap: dict[int, int] = {i + j - v: i, i + j: i + j - v + 1}
     for col in range(i, i + j):
         if col != i + j - v:
@@ -212,7 +219,8 @@ def _merge_split(p: Placement, ctx: SlideContext):
     i, j, w = ctx.i, ctx.j, ctx.w
     below_cols = [x for x, _ in ctx.below]
     above_cols = [x for x, _ in ctx.above]
-    assert above_cols and above_cols[0] == w, "w must mark the leftmost above-diagonal dot"
+    if not above_cols or above_cols[0] != w:
+        raise InvalidPlacementError(f"w={w} is not the leftmost above-diagonal dot")
     shift = set(below_cols) | set(above_cols[1:])
     diag_cols = [x for x, _ in ctx.on_diag]
     b1 = diag_cols[0]
@@ -286,28 +294,10 @@ def slide_transform(p: Placement, i: int, j: int) -> Placement:
     return slide_transform_with_trace(p, i, j)[0]
 
 
-def _inverse_context(p: Placement, i: int, j: int):
-    shape = p.shape
-    narrow = shape[-1] if shape else 0
-    if not (i >= 1 and i < narrow and 1 <= j <= narrow - i):
-        raise InvalidInputError(f"window (i={i}, j={j}) out of range for {shape}")
-    if not boards.is_self_conjugate(shape):
-        raise InvalidInputError(f"shape is not self-conjugate: {shape}")
-    if not (boards.is_symmetric(p) and boards.is_full(p)):
-        raise InvalidInputError("placement must be symmetric and full")
-    if boards.placement_contains(p, (3, 2, 1)):
-        raise InvalidInputError("placement must avoid 321")
-    window = _window_dots(p, i + 1, i + j)
-    heights = [y for _, y in window]
-    if any(heights[a] > heights[a + 1] for a in range(len(heights) - 1)):
-        raise InvalidInputError(f"columns {i + 1}..{i + j} must avoid 21")
-    (u,) = [y for x, y in p.dots if x == i]
-    return window, u
-
-
 def slide_inverse_with_trace(p: Placement, i: int, j: int):
     """Inverse of the slide map, with its move list."""
-    window, u = _inverse_context(p, i, j)
+    window = _checked_window(p, i, j, i + 1)
+    (u,) = [y for x, y in p.dots if x == i]
     i_j = i + j
     if all(y > u for _, y in window):
         return p, []  # image of the identity case

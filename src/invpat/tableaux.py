@@ -7,6 +7,8 @@ and row lengths weakly decrease.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
+from operator import lt
 from typing import Iterator
 
 from .boards import validate_shape
@@ -17,28 +19,26 @@ Tableau = tuple[tuple[int, ...], ...]
 
 
 def tableau_shape(t: Tableau) -> tuple[int, ...]:
-    return tuple(len(row) for row in t)
+    return tuple(map(len, t))
 
 
 def is_standard(t: Tableau) -> bool:
     """Check strict row/column increase and entries 1..n each once."""
-    lengths = tableau_shape(t)
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+    lengths = list(map(len, t))
+    if lengths != sorted(lengths, reverse=True):
         return False
-    entries = [v for row in t for v in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
+    entries = sorted(chain.from_iterable(t))
+    if entries != list(range(1, len(entries) + 1)):
         return False
-    for row in t:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-            return False
-    for r in range(len(t) - 1):
-        if any(t[r][c] >= t[r + 1][c] for c in range(len(t[r + 1]))):
-            return False
-    return True
+    # entries are distinct here, so a sorted row strictly increases
+    if list(map(sorted, t)) != list(map(list, t)):
+        return False
+    # rows weakly shorten, so map stops at the end of the lower row
+    return all(all(map(lt, upper, lower)) for upper, lower in zip(t, t[1:]))
 
 
 def validate_tableau(rows) -> Tableau:
-    t = tuple(tuple(row) for row in rows)
+    t = tuple(map(tuple, rows))
     if not is_standard(t):
         raise InvalidTableauError(f"not a standard tableau: {t}")
     return t
@@ -98,14 +98,13 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
     if tableau_shape(p) != tableau_shape(q):
         raise InvalidTableauError("tableaux have different shapes")
     rows = [list(row) for row in p]
-    cell_of = {q[r][c]: (r, c) for r in range(len(q)) for c in range(len(q[r]))}
-    n = sum(len(row) for row in p)
+    row_of = {v: r for r, row in enumerate(q) for v in row}
+    n = len(row_of)
     word = [0] * n
     for step in range(n, 0, -1):
-        r, c = cell_of[step]
-        x = rows[r].pop(c)
-        if not rows[r]:
-            rows.pop(r)
+        # the largest entry left in q is an outer corner: last in its row
+        r = row_of[step]
+        x = rows[r].pop()
         for above in range(r - 1, -1, -1):
             row = rows[above]
             idx = bisect_right(row, x) - 1
@@ -126,29 +125,28 @@ def evacuation(q: Tableau) -> Tableau:
     ((1, 2, 3),)
     """
     q = validate_tableau(q)
-    rows = [list(row) for row in q]
-    n = sum(len(row) for row in rows)
+    # the sentinel n + 1 pads each row and adds one row, so every cell of q
+    # has a right and a lower neighbour; vacated cells take it too
+    end = sum(map(len, q)) + 1
+    width = len(q[0]) + 1 if q else 1
+    grid = [list(row) + [end] * (width - len(row)) for row in q]
+    grid.append([end] * width)
     out = [[0] * len(row) for row in q]
-    for step in range(1, n + 1):
+    for step in range(1, end):
         r = c = 0
         while True:
-            right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
-            below = (
-                rows[r + 1][c] if r + 1 < len(rows) and c < len(rows[r + 1]) else None
-            )
-            if right is None and below is None:
-                break
-            if below is None or (right is not None and right < below):
-                rows[r][c] = right
+            right, down = grid[r][c + 1], grid[r + 1][c]
+            if right < down:
+                grid[r][c] = right
                 c += 1
-            else:
-                rows[r][c] = below
+            elif down < right:
+                grid[r][c] = down
                 r += 1
-        rows[r].pop()
-        if not rows[r]:
-            rows.pop(r)
-        out[r][c] = n + 1 - step
-    return tuple(tuple(row) for row in out)
+            else:  # both are the sentinel: (r, c) is an outer corner
+                break
+        grid[r][c] = end
+        out[r][c] = end - step
+    return tuple(map(tuple, out))
 
 
 def check_reversal_property(w: Perm) -> bool:
@@ -200,6 +198,10 @@ def tableau_from_text(text: str) -> Tableau:
     text = text.strip()
     if not text:
         return ()
-    return validate_tableau(
-        tuple(tuple(int(v) for v in row.split(",")) for row in text.split("/"))
-    )
+    try:
+        rows = [[int(v) for v in row.split(",")] for row in text.split("/")]
+    except ValueError:
+        raise InvalidTableauError(
+            f"tableau text {text!r} has an empty or non-integer entry"
+        ) from None
+    return validate_tableau(rows)

@@ -48,6 +48,19 @@ def test_conjugate_is_involutive():
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
 
 
+def reference_conjugate(shape):
+    # the definition, one count per column
+    if not shape:
+        return ()
+    return tuple(sum(1 for p in shape if p >= i) for i in range(1, shape[0] + 1))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 12), max_size=9).map(tuple))
+def test_conjugate_matches_its_definition_on_any_tuple(shape):
+    assert conjugate(shape) == reference_conjugate(shape)
+
+
 def test_self_conjugate_detection():
     assert is_self_conjugate(())
     assert is_self_conjugate((3, 3, 2))

@@ -1,7 +1,7 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
 import pytest
 
-from invpat import checks
+from invpat import boards, checks
 from invpat.errors import InvalidInputError
 
 
@@ -39,8 +39,26 @@ def test_slide_sweep():
     _all_pass(checks.check_slide_bijection(5))
 
 
+def _evacuated_shapes(records):
+    return [r["params"] for r in records if r["check"] == "evacuation-involution"]
+
+
+def _box(side):
+    shapes = [s for s in checks._partitions_in_box(side) if s]
+    return [f"shape={boards.shape_to_text(s)}" for s in shapes]
+
+
 def test_rsk_sweep():
-    _all_pass(checks.check_rsk_properties(4))
+    records = checks.check_rsk_properties(4)
+    _all_pass(records)
+    assert _evacuated_shapes(records) == _box(4)
+
+
+@pytest.mark.parametrize("n_max", [0, 2, 3])
+def test_rsk_sweep_evacuates_the_box_of_side_n_max(n_max):
+    records = checks.check_rsk_properties(n_max)
+    _all_pass(records)
+    assert _evacuated_shapes(records) == _box(n_max)
 
 
 def test_prefix_exchange_sweep():

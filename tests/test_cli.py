@@ -82,6 +82,14 @@ def test_rsk_round_trip_via_cli(capsys):
     assert out == "312\n"
 
 
+@pytest.mark.parametrize("text", ["1,2/", "1,,2/3", "1,x/2"])
+def test_bad_tableau_text_is_named(capsys, text):
+    assert run(["rsk", "--p", text, "--q", "1,3/2", "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert f"tableau text {text!r}" in err and "invalid literal" not in err
+
+
 def test_reduce_command(capsys):
     assert run(
         [

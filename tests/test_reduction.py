@@ -99,7 +99,8 @@ def test_equivalence_sweep_small():
             for p in symmetric_full_placements(mu):
                 rb = suffix_reduction(mu, p, t)
                 for sigma in prefixes:
-                    assert verify_reduction_equivalence(p, rb, sigma, t)
+                    patterns = t.patterns_with_prefix(sigma)
+                    assert verify_reduction_equivalence(p, rb, sigma, patterns)
 
 
 def test_class_decomposition_small():
@@ -154,4 +155,5 @@ def test_suffix_corners_match_the_pattern_of_search(case):
     rb = suffix_reduction(mu, p, t)
     for sigma in permutations(range(1, t.j + 1)):
         if is_involution(sigma):
-            assert verify_reduction_equivalence(p, rb, sigma, t)
+            patterns = t.patterns_with_prefix(sigma)
+            assert verify_reduction_equivalence(p, rb, sigma, patterns)

@@ -93,6 +93,36 @@ def test_slide_postconditions_raise_named_error(monkeypatch, bad, failure):
         slide_transform(graph_of((1, 3, 2, 4)), 1, 2)
 
 
+def test_window_columns_must_reach_full_height(monkeypatch):
+    monkeypatch.setattr(boards, "column_heights", lambda shape: (1,) * len(shape))
+    with pytest.raises(InvalidPlacementError, match="are not all 3 high"):
+        slide_context(graph_of((1, 2, 3)), 1, 2)
+
+
+def test_window_dots_must_be_ordered_by_diagonal_side(monkeypatch):
+    # a full placement could not rise from above the diagonal to below it
+    # within the window; one with empty window columns can
+    monkeypatch.setattr(boards, "is_symmetric", lambda p: True)
+    monkeypatch.setattr(boards, "is_full", lambda p: True)
+    p = make_placement((5,) * 5, [(1, 2), (4, 3), (5, 5)])
+    with pytest.raises(InvalidPlacementError, match="not ordered below, on, above"):
+        slide_context(p, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "case, failure",
+    [
+        ("II", "no window dot lies above w=3"),
+        ("V", "w=3 is not the leftmost above-diagonal dot"),
+    ],
+)
+def test_case_maps_check_their_premise(monkeypatch, case, failure):
+    # an identity-case input sent to the reseat or to the merge/split
+    monkeypatch.setattr(slide, "classify_slide_case", lambda ctx: case)
+    with pytest.raises(InvalidPlacementError, match=failure):
+        slide_transform(graph_of((1, 2, 3)), 1, 2)
+
+
 def test_all_six_cases_appear():
     seen = set()
     for shape in sorted(boards.enumerate_self_conjugate_shapes(6)):
