@@ -9,12 +9,13 @@ from __future__ import annotations
 import json
 import os
 from functools import cache
+from itertools import filterfalse
 from math import comb, factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import boards
-from .errors import InvalidInputError, InvalidShapeError
-from .perms import Perm, _matcher, avoids, involution_list, perm_from_text, perm_to_text
+from .errors import InvalidInputError
+from .perms import Perm, _matcher, involution_list, perm_from_text, perm_to_text
 
 PatternSet = frozenset[Perm]
 
@@ -34,18 +35,19 @@ def pattern_set_key(patterns: PatternSet) -> str:
     return ";".join(sorted(perm_to_text(p) for p in sorted(patterns)))
 
 
+def _avoiding_involutions(n: int, patterns) -> Sequence[Perm]:
+    # cheapest check first; each pattern sees only the survivors of the
+    # shorter ones, so every involution meets the same matchers as in a
+    # nested loop that stops at the first match
+    found = involution_list(n)
+    for sigma in sorted(patterns, key=len):
+        found = list(filterfalse(_matcher(sigma), found))
+    return found
+
+
 @cache
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
-    # cheapest check first
-    matchers = [_matcher(sigma) for sigma in sorted(patterns, key=len)]
-    count = 0
-    for pi in involution_list(n):
-        for match in matchers:
-            if match(pi):
-                break
-        else:
-            count += 1
-    return count
+    return len(_avoiding_involutions(n, patterns))
 
 
 def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
@@ -76,15 +78,9 @@ def lambda_sym(shape, patterns) -> int:
     >>> lambda_sym((3, 3, 2), ["123"]), lambda_sym((3, 3, 2), ["321"])
     (2, 2)
     """
-    shape = boards.validate_shape(shape)
-    if not boards.is_self_conjugate(shape):
-        raise InvalidShapeError(f"shape is not self-conjugate: {shape}")
-    ps = sorted(pattern_set(patterns), key=len)
-    return sum(
-        1
-        for p in boards.symmetric_full_placements(shape)
-        if all(not boards.placement_contains(p, sigma) for sigma in ps)
-    )
+    shape = boards._self_conjugate_shape(shape)
+    placements = boards.symmetric_full_placements(shape)
+    return len(boards.avoiding(placements, pattern_set(patterns)))
 
 
 def count_avoiders_with_column_constraint(
@@ -100,16 +96,11 @@ def count_avoiders_with_column_constraint(
         raise InvalidInputError(f"i must be in 0..{n}, got {i}")
     if side not in ("left", "right"):
         raise InvalidInputError("side must be 'left' or 'right'")
-    ps = sorted(pattern_set(main), key=len)
-    flank = tuple(flank)
-    count = 0
-    for pi in involution_list(n):
-        if not all(avoids(pi, sigma) for sigma in ps):
-            continue
-        window = pi[:i] if side == "left" else pi[n - i :]
-        if avoids(window, flank):
-            count += 1
-    return count
+    window = slice(0, i) if side == "left" else slice(n - i, n)
+    match = _matcher(tuple(flank))
+    return sum(
+        1 for pi in _avoiding_involutions(n, pattern_set(main)) if not match(pi[window])
+    )
 
 
 # -- closed forms used as independent cross-checks --------------------------

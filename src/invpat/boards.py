@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvalidPlacementError, InvalidShapeError
-from .perms import Perm, _matcher
+from .perms import Perm, _matcher, _pairings
 
 Shape = tuple[int, ...]
 Box = tuple[int, int]
@@ -28,6 +28,14 @@ def validate_shape(parts) -> Shape:
         raise InvalidShapeError(f"parts must be positive: {shape}")
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise InvalidShapeError(f"parts must weakly decrease: {shape}")
+    return shape
+
+
+def _self_conjugate_shape(parts) -> Shape:
+    """validate_shape, then InvalidShapeError unless the shape is self-conjugate."""
+    shape = validate_shape(parts)
+    if not is_self_conjugate(shape):
+        raise InvalidShapeError(f"shape is not self-conjugate: {shape}")
     return shape
 
 
@@ -130,11 +138,35 @@ def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
     >>> placement_contains(p, (1, 2)), placement_contains(p, (2, 3, 1))
     (True, False)
     """
-    dots = sorted(p.dots)
-    if columns is not None:
-        allowed = set(columns)
-        dots = [d for d in dots if d[0] in allowed]
-    return _matcher(sigma, board=True)(dots, p.shape)
+    return not avoiding([p], [sigma], columns)
+
+
+def avoiding(placements, patterns, columns=None) -> list[Placement]:
+    """The placements, in order, that contain none of the patterns.
+
+    Each placement's dots are sorted by column once, and kept only in
+    ``columns`` when it is given; then the compiled board matchers run on
+    them, shortest pattern first.
+
+    >>> pool = list(enumerate_full_placements((3, 3, 3)))
+    >>> len(avoiding(pool, [(1, 2, 3), (3, 2, 1)]))
+    4
+    >>> [placement_to_text(p) for p in avoiding(pool, [(1, 2)])]
+    ['3,3,3;1,3 2,2 3,1']
+    """
+    matchers = [_matcher(sigma, board=True) for sigma in sorted(patterns, key=len)]
+    allowed = None if columns is None else set(columns)
+    found = []
+    for p in placements:
+        dots = sorted(p.dots)
+        if allowed is not None:
+            dots = [d for d in dots if d[0] in allowed]
+        for match in matchers:
+            if match(dots, p.shape):
+                break
+        else:
+            found.append(p)
+    return found
 
 
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
@@ -173,43 +205,18 @@ def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
 def enumerate_symmetric_full_placements(shape: Shape) -> Iterator[Placement]:
     """Yield every symmetric full placement on a self-conjugate shape.
 
-    Indices are paired below-or-on the diagonal and mirrored, halving the
-    search.  Output order is deterministic.
+    Each one is the graph of an involution that pairs t with u only where
+    box (u, t) lies in the shape, built by the same pairing recursion as
+    perms.involutions.  Output order is deterministic.
 
     >>> sum(1 for _ in enumerate_symmetric_full_placements((3, 3, 3)))
     4
     >>> sum(1 for _ in enumerate_symmetric_full_placements((3, 3, 2)))
     2
     """
-    shape = validate_shape(shape)
-    if not is_self_conjugate(shape):
-        raise InvalidShapeError(f"shape is not self-conjugate: {shape}")
-    n = len(shape)
-    if n == 0:
-        yield Placement((), frozenset())
-        return
-    dots: list[Box] = []
-
-    def pair(free: tuple[int, ...]) -> Iterator[Placement]:
-        if not free:
-            yield Placement(shape, frozenset(dots))
-            return
-        t = free[0]
-        if box_in_shape(shape, t, t):
-            dots.append((t, t))
-            yield from pair(free[1:])
-            dots.pop()
-        for idx in range(1, len(free)):
-            u = free[idx]
-            # (u, t) below the diagonal; its mirror is in the shape too.
-            if box_in_shape(shape, u, t):
-                dots.append((u, t))
-                dots.append((t, u))
-                yield from pair(free[1:idx] + free[idx + 1 :])
-                dots.pop()
-                dots.pop()
-
-    yield from pair(tuple(range(1, n + 1)))
+    shape = _self_conjugate_shape(shape)
+    for pi in _pairings(shape):
+        yield Placement(shape, frozenset(enumerate(pi, start=1)))
 
 
 @cache

@@ -7,11 +7,12 @@ are the cross-checks the test suite and the ``verify`` CLI command run.
 """
 from __future__ import annotations
 
+import inspect
 from itertools import permutations
 
 from . import boards, classify, reduction, slide, tableaux
-from .avoidance import count_avoiders_with_column_constraint, lambda_sym
-from .boards import Shape
+from .avoidance import count_avoiders_with_column_constraint
+from .errors import InvalidInputError
 from .perms import is_involution, perm_to_text
 
 
@@ -50,7 +51,7 @@ def check_extreme_placements(max_side: int = 5) -> list[dict]:
         full = list(boards.enumerate_full_placements(shape))
         expect = 1 if full else 0
         for name, sigma in (("12", (1, 2)), ("21", (2, 1))):
-            hits = [p for p in full if not boards.placement_contains(p, sigma)]
+            hits = boards.avoiding(full, [sigma])
             ok = len(hits) == expect
             if boards.is_self_conjugate(shape):
                 ok = ok and all(boards.is_symmetric(p) for p in hits)
@@ -128,18 +129,8 @@ def check_class_decomposition(max_side: int = 4) -> list[dict]:
             for t in _suffix_sets(j):
                 ok = reduction.class_decomposition_check(mu, t, alpha, beta)
                 placements = boards.symmetric_full_placements(mu)
-                t_a = t.patterns_with_prefix(alpha)
-                t_b = t.patterns_with_prefix(beta)
-                total_a = sum(
-                    1
-                    for p in placements
-                    if all(not boards.placement_contains(p, pat) for pat in t_a)
-                )
-                total_b = sum(
-                    1
-                    for p in placements
-                    if all(not boards.placement_contains(p, pat) for pat in t_b)
-                )
+                total_a = len(boards.avoiding(placements, t.patterns_with_prefix(alpha)))
+                total_b = len(boards.avoiding(placements, t.patterns_with_prefix(beta)))
                 records.append(
                     _record(
                         "class-decomposition",
@@ -275,25 +266,11 @@ def check_slide_bijection(max_side: int = 6) -> list[dict]:
         narrow = shape[-1] if shape else 0
         if narrow < 2:
             continue
-        pool = [
-            p
-            for p in boards.symmetric_full_placements(shape)
-            if not boards.placement_contains(p, (3, 2, 1))
-        ]
+        pool = boards.avoiding(boards.symmetric_full_placements(shape), [(3, 2, 1)])
         for i in range(1, narrow):
             for j in range(1, narrow - i + 1):
-                domain = [
-                    p
-                    for p in pool
-                    if not boards.placement_contains(p, (2, 1), columns=range(i, i + j))
-                ]
-                image = [
-                    p
-                    for p in pool
-                    if not boards.placement_contains(
-                        p, (2, 1), columns=range(i + 1, i + j + 1)
-                    )
-                ]
+                domain = boards.avoiding(pool, [(2, 1)], columns=range(i, i + j))
+                image = boards.avoiding(pool, [(2, 1)], columns=range(i + 1, i + j + 1))
                 forward = [slide.slide_transform(p, i, j) for p in domain]
                 ok = (
                     len(set(forward)) == len(domain)
@@ -393,16 +370,24 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(names=None) -> list[dict]:
-    """Run the named sweeps (all by default) and pool their records."""
-    from .errors import InvalidInputError
+def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
+    """Run the named sweeps (all by default) and pool their records.
 
+    Every name is checked before any sweep runs.  Each size limit that is
+    given goes to the sweeps that take it; the others keep their defaults.
+    """
     chosen = list(ALL_CHECKS) if names is None else list(names)
-    records = []
     for name in chosen:
         if name not in ALL_CHECKS:
             raise InvalidInputError(
                 f"unknown check {name!r}; choose from {sorted(ALL_CHECKS)}"
             )
-        records.extend(ALL_CHECKS[name]())
+    limits = {"max_side": max_side, "n_max": n_max, "k_max": k_max}
+    records = []
+    for name in chosen:
+        fn = ALL_CHECKS[name]
+        taken = inspect.signature(fn).parameters
+        records.extend(
+            fn(**{k: v for k, v in limits.items() if v is not None and k in taken})
+        )
     return records

@@ -153,25 +153,25 @@ def verify_prefix_exchange(
         raise InvalidInputError("prefixes must be involutions of equal length")
     if k_max <= j:
         raise InvalidInputError("k_max must exceed the prefix length")
-    records = []
-    for k in range(j + 1, k_max + 1):
-        ns = list(range(k, n_max + 1))
-        for tau in permutations(range(j + 1, k + 1)):
-            pat_a = alpha + tau
-            pat_b = beta + tau
-            counts_a = [count_avoiders(n, [pat_a]) for n in ns]
-            counts_b = [count_avoiders(n, [pat_b]) for n in ns]
-            records.append(
-                {
-                    "pattern_a": perm_to_text(pat_a),
-                    "pattern_b": perm_to_text(pat_b),
-                    "ns": ns,
-                    "counts_a": counts_a,
-                    "counts_b": counts_b,
-                    "equal": counts_a == counts_b,
-                }
-            )
-    return records
+    return [
+        _pair_record(alpha + tau, beta + tau, list(range(k, n_max + 1)))
+        for k in range(j + 1, k_max + 1)
+        for tau in permutations(range(j + 1, k + 1))
+    ]
+
+
+def _pair_record(pat_a: Perm, pat_b: Perm, ns: list[int]) -> dict:
+    """The avoider counts of two patterns over ns, side by side."""
+    counts_a = [count_avoiders(n, [pat_a]) for n in ns]
+    counts_b = [count_avoiders(n, [pat_b]) for n in ns]
+    return {
+        "pattern_a": perm_to_text(pat_a),
+        "pattern_b": perm_to_text(pat_b),
+        "ns": ns,
+        "counts_a": counts_a,
+        "counts_b": counts_b,
+        "equal": counts_a == counts_b,
+    }
 
 
 # pairs whose equality is observed in the tables but not proved; the scan
@@ -198,19 +198,7 @@ def scan_conjectures(n_max: int, shape_side: int = 5, k_max: int = 4) -> list[di
     for text_a, text_b in CONJECTURED_PAIRS:
         pat_a, pat_b = perm_from_text(text_a), perm_from_text(text_b)
         ns = list(range(len(pat_a) + 1, n_max + 1))
-        counts_a = [count_avoiders(n, [pat_a]) for n in ns]
-        counts_b = [count_avoiders(n, [pat_b]) for n in ns]
-        records.append(
-            {
-                "kind": "square-pair",
-                "pattern_a": text_a,
-                "pattern_b": text_b,
-                "ns": ns,
-                "counts_a": counts_a,
-                "counts_b": counts_b,
-                "equal": counts_a == counts_b,
-            }
-        )
+        records.append({"kind": "square-pair", **_pair_record(pat_a, pat_b, ns)})
     shapes = sorted(boards.enumerate_self_conjugate_shapes(shape_side))
     for k in range(2, k_max + 1):
         up = tuple(range(1, k + 1))

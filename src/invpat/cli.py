@@ -8,14 +8,13 @@ input error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
 import time
 
 from . import __version__, boards, checks, classify, reduction, slide, tableaux
-from .avoidance import CountStore, count_avoiders, lambda_sym, pattern_set_key
+from .avoidance import CountStore, count_avoiders, pattern_set_key
 from .errors import InvalidInputError, TableMismatchError
 from .perms import perm_from_text, perm_to_text
 
@@ -111,11 +110,7 @@ def cmd_placements(args):
     else:
         pool = boards.enumerate_symmetric_full_placements(shape)
     avoid = parse_patterns(args.avoid) if args.avoid else []
-    found = [
-        p
-        for p in pool
-        if all(not boards.placement_contains(p, sigma) for sigma in avoid)
-    ]
+    found = boards.avoiding(pool, avoid)
     found.sort(key=lambda p: sorted(p.dots))
     params = {
         "shape": boards.shape_to_text(shape),
@@ -266,22 +261,9 @@ def cmd_table(args):
 
 def cmd_verify(args):
     names = args.check.split(",") if args.check else None
-    if names is not None:
-        bad = [n for n in names if n not in checks.ALL_CHECKS]
-        if bad:
-            raise InvalidInputError(
-                f"unknown check {bad[0]!r}; choose from {sorted(checks.ALL_CHECKS)}"
-            )
-    records = []
-    for name in names or list(checks.ALL_CHECKS):
-        fn = checks.ALL_CHECKS[name]
-        kwargs = {}
-        sig = inspect.signature(fn)
-        for flag in ("max_side", "n_max", "k_max"):
-            value = getattr(args, flag)
-            if value is not None and flag in sig.parameters:
-                kwargs[flag] = value
-        records.extend(fn(**kwargs))
+    records = checks.run_checks(
+        names, max_side=args.max_side, n_max=args.n_max, k_max=args.k_max
+    )
     params = {"check": names or sorted(checks.ALL_CHECKS)}
     lines = []
     for rec in records:
@@ -386,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("table", help="recompute a stored count table and compare")
     s.add_argument("--id", required=True, choices=classify.TABLE_IDS)
-    s.add_argument("--check", action="store_true", help="accepted; always on")
     _add_common(s)
     s.set_defaults(handler=cmd_table)
 

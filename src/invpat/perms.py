@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidWordError
+from .errors import InvalidInputError, InvalidWordError
 
 Perm = tuple[int, ...]
 
@@ -201,33 +201,59 @@ def avoids(pi: Sequence[int], sigma: Perm) -> bool:
     return not contains(pi, sigma)
 
 
-def involutions(n: int) -> Iterator[Perm]:
-    """Yield every involution of [n], built by pairing the least free index.
+def _pairings(reach: Sequence[int]) -> Iterator[Perm]:
+    """Yield each involution pi of [len(reach)] with pi[t - 1] <= reach[t - 1]
+    for every t, where reach is a self-conjugate shape: on the n x n square
+    these are all involutions of [n], on a shape its symmetric full
+    placements.
 
-    >>> sorted(involutions(3))
-    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    The least free index t is tried as a fixed point, then paired with each
+    later free u in increasing order, stopping at the first u past
+    reach[t - 1]; self-conjugacy gives t <= reach[u - 1] for free.
     """
-    mapping = [0] * n
+    mapping = [0] * len(reach)
 
     def extend(free: tuple[int, ...]) -> Iterator[Perm]:
         if not free:
             yield tuple(mapping)
             return
         t = free[0]
-        mapping[t - 1] = t
-        yield from extend(free[1:])
+        bound = reach[t - 1]
+        if t <= bound:
+            mapping[t - 1] = t
+            yield from extend(free[1:])
         for idx in range(1, len(free)):
             u = free[idx]
+            if u > bound:
+                break
             mapping[t - 1] = u
             mapping[u - 1] = t
             yield from extend(free[1:idx] + free[idx + 1 :])
 
-    yield from extend(tuple(range(1, n + 1)))
+    yield from extend(tuple(range(1, len(reach) + 1)))
+
+
+def involutions(n: int) -> Iterator[Perm]:
+    """Yield every involution of [n], built by pairing the least free index.
+
+    >>> sorted(involutions(3))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    """
+    yield from _pairings((n,) * n)
+
+
+# involution_list holds them all at once: 568,504 tuples at 13, 46 M at 16
+_INVOLUTION_LIST_MAX_N = 13
 
 
 @cache
 def involution_list(n: int) -> tuple[Perm, ...]:
-    """All involutions of [n], cached (35,696 of them at n = 11)."""
+    """All involutions of [n], cached (35,696 of them at n = 11); n above
+    13 raises InvalidInputError before anything is enumerated."""
+    if n > _INVOLUTION_LIST_MAX_N:
+        raise InvalidInputError(
+            f"n = {n} is above the involution list limit of {_INVOLUTION_LIST_MAX_N}"
+        )
     return tuple(involutions(n))
 
 

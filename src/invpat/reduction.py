@@ -162,7 +162,7 @@ def verify_reduction_equivalence(
     ``t.patterns_with_prefix(sigma)`` for one suffix set t; a caller trying
     several placements and prefixes builds each once.
     """
-    lhs = any(boards.placement_contains(p, pat) for pat in patterns)
+    lhs = not boards.avoiding([p], patterns)
     rhs = boards.placement_contains(rb.induced, tuple(sigma))
     return lhs == rhs
 
@@ -188,28 +188,14 @@ def class_decomposition_check(mu: Shape, t: SuffixSet, alpha: Perm, beta: Perm) 
         shape = members[0][1].shape
         if any(rb.shape != shape for _, rb in members):
             return False
-        if len(members) != len(boards.symmetric_full_placements(shape)):
+        placements = boards.symmetric_full_placements(shape)
+        if len(members) != len(placements):
             return False
-        inner_count_a = sum(
-            1
-            for placement in boards.symmetric_full_placements(shape)
-            if not boards.placement_contains(placement, alpha)
-        )
-        inner_count_b = sum(
-            1
-            for placement in boards.symmetric_full_placements(shape)
-            if not boards.placement_contains(placement, beta)
-        )
-        outer_count_a = sum(
-            1
-            for p, _ in members
-            if all(not boards.placement_contains(p, pat) for pat in t_alpha)
-        )
-        outer_count_b = sum(
-            1
-            for p, _ in members
-            if all(not boards.placement_contains(p, pat) for pat in t_beta)
-        )
+        inner_count_a = len(boards.avoiding(placements, [alpha]))
+        inner_count_b = len(boards.avoiding(placements, [beta]))
+        outer = [p for p, _ in members]
+        outer_count_a = len(boards.avoiding(outer, t_alpha))
+        outer_count_b = len(boards.avoiding(outer, t_beta))
         if outer_count_a != inner_count_a or outer_count_b != inner_count_b:
             return False
     return True

@@ -39,9 +39,7 @@ def inner_shape(shape: Shape) -> Shape:
     >>> inner_shape((2, 1))
     ()
     """
-    shape = boards.validate_shape(shape)
-    if not boards.is_self_conjugate(shape):
-        raise InvalidShapeError(f"shape is not self-conjugate: {shape}")
+    shape = boards._self_conjugate_shape(shape)
     if not shape:
         raise InvalidShapeError("empty shape has no frame to delete")
     if len(shape) >= 2 and shape[-1] == shape[0]:
@@ -55,13 +53,6 @@ def inner_shape(shape: Shape) -> Shape:
     return tuple(trimmed)
 
 
-def _check_stat_shape(shape: Shape) -> Shape:
-    shape = boards.validate_shape(shape)
-    if not boards.is_self_conjugate(shape):
-        raise InvalidShapeError(f"shape is not self-conjugate: {shape}")
-    return shape
-
-
 def top_row_dot_count(shape: Shape, pattern: str, i: int) -> int:
     """Count avoiding symmetric full placements by their top-row dot.
 
@@ -69,7 +60,7 @@ def top_row_dot_count(shape: Shape, pattern: str, i: int) -> int:
     For '321': placements avoiding 321 with a dot in (smallest part + 1 - i,
     top row).  The top row sits at height equal to the widest part.
     """
-    shape = _check_stat_shape(shape)
+    shape = boards._self_conjugate_shape(shape)
     if pattern not in ("123", "321"):
         raise InvalidInputError("pattern must be '123' or '321'")
     if not shape or not 1 <= i <= shape[-1]:
@@ -77,11 +68,8 @@ def top_row_dot_count(shape: Shape, pattern: str, i: int) -> int:
     top = shape[0]
     col = i if pattern == "123" else shape[-1] + 1 - i
     sigma = (1, 2, 3) if pattern == "123" else (3, 2, 1)
-    return sum(
-        1
-        for p in boards.symmetric_full_placements(shape)
-        if (col, top) in p.dots and not boards.placement_contains(p, sigma)
-    )
+    pool = [p for p in boards.symmetric_full_placements(shape) if (col, top) in p.dots]
+    return len(boards.avoiding(pool, [sigma]))
 
 
 def flank_avoiding_count(shape: Shape, pattern: str, i: int) -> int:
@@ -92,7 +80,7 @@ def flank_avoiding_count(shape: Shape, pattern: str, i: int) -> int:
     the first smallest-part columns must avoid 21.  i = 0 drops the flank
     condition entirely.
     """
-    shape = _check_stat_shape(shape)
+    shape = boards._self_conjugate_shape(shape)
     if pattern not in ("123", "321"):
         raise InvalidInputError("pattern must be '123' or '321'")
     narrow = shape[-1] if shape else 0
@@ -103,14 +91,8 @@ def flank_avoiding_count(shape: Shape, pattern: str, i: int) -> int:
     window = (
         range(1, i + 1) if pattern == "123" else range(narrow + 1 - i, narrow + 1)
     )
-    count = 0
-    for p in boards.symmetric_full_placements(shape):
-        if boards.placement_contains(p, sigma):
-            continue
-        if i > 0 and boards.placement_contains(p, flank, columns=window):
-            continue
-        count += 1
-    return count
+    pool = boards.avoiding(boards.symmetric_full_placements(shape), [sigma])
+    return len(boards.avoiding(pool, [flank], columns=window))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,11 @@ def is_standard(t: Tableau) -> bool:
 
 
 def validate_tableau(rows) -> Tableau:
+    """rows as a tuple of tuples, after checking it is standard and has no
+    empty row (is_standard alone lets trailing empty rows through, and
+    rows weakly shorten, so an empty row is the last)."""
     t = tuple(map(tuple, rows))
-    if not is_standard(t):
+    if not is_standard(t) or (t and not t[-1]):
         raise InvalidTableauError(f"not a standard tableau: {t}")
     return t
 

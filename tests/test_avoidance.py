@@ -1,5 +1,9 @@
 """Counting avoiders: brute force, closed forms, and the memo store."""
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpat.avoidance import (
     CountStore,
@@ -16,6 +20,7 @@ from invpat.avoidance import (
     pattern_set_key,
 )
 from invpat.errors import InvalidInputError, InvalidShapeError
+from invpat.perms import involutions, pattern_of
 
 
 def test_pattern_set_normalizes_and_rejects_empty():
@@ -84,3 +89,35 @@ def test_count_store_round_trip(tmp_path):
     assert store.get("123|5") == value
     reloaded = CountStore(path)
     assert reloaded.get("123|5") == value
+
+
+def naive_contains(word, sigma):
+    return any(pattern_of(c) == sigma for c in combinations(word, len(sigma)))
+
+
+PATTERN_SETS = st.lists(
+    st.integers(1, 4).flatmap(lambda m: st.permutations(range(1, m + 1))).map(tuple),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 7), PATTERN_SETS)
+def test_count_avoiders_matches_brute_force_on_pattern_sets(n, pats):
+    expected = sum(1 for pi in involutions(n) if not any(naive_contains(pi, s) for s in pats))
+    assert count_avoiders(n, pats) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 7), PATTERN_SETS, st.sampled_from([(1, 2), (2, 1)]), st.data())
+def test_column_constraint_matches_brute_force(n, pats, flank, data):
+    side = data.draw(st.sampled_from(["left", "right"]))
+    i = data.draw(st.integers(0, n))
+    expected = sum(
+        1
+        for pi in involutions(n)
+        if not any(naive_contains(pi, s) for s in pats)
+        and not naive_contains(pi[:i] if side == "left" else pi[n - i :], flank)
+    )
+    assert count_avoiders_with_column_constraint(n, pats, flank, side, i) == expected

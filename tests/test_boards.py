@@ -11,6 +11,7 @@ from invpat.errors import InvalidPlacementError, InvalidShapeError
 from invpat.perms import contains, involution_list, pattern_of
 from invpat.boards import (
     Placement,
+    avoiding,
     box_in_shape,
     conjugate,
     enumerate_full_placements,
@@ -172,6 +173,37 @@ def test_board_kernel_matches_brute_force(p, sigma, data):
     assert placement_contains(p, sigma, columns=columns) == expected
 
 
+# patterns of length 0 or 1 lie in every nonempty placement, so a set
+# holding one rarely tells a later pattern's test from a skipped one
+SET_MEMBERS = st.integers(2, 4).flatmap(lambda m: st.permutations(range(1, m + 1))).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(thinned_symmetric_placements(), max_size=8),
+    st.lists(SET_MEMBERS, min_size=1, max_size=3),
+    st.data(),
+)
+def test_avoiding_matches_a_brute_force_loop(pool, pats, data):
+    columns = data.draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(1, 7), st.integers(0, 6)).map(
+                lambda ab: range(ab[0], ab[0] + ab[1])
+            ),
+            st.frozensets(st.integers(1, 7)),
+        )
+    )
+    # placement_contains runs through avoiding, so the loop it is held to
+    # uses the brute-force search instead
+    expected = [
+        p for p in pool if not any(naive_placement_contains(p, s, columns) for s in pats)
+    ]
+    got = avoiding(pool, pats, columns=columns)
+    assert got == expected
+    assert all(a is b for a, b in zip(got, expected))
+
+
 def test_board_kernel_chains_past_the_nesting_limit():
     # the 30 x 30 square without its top-right box, dots on the diagonal up
     # to 28 and then (29, 30), (30, 29): all 30 dots have pattern
@@ -204,6 +236,42 @@ def test_symmetric_full_placement_counts_match_involutions():
         found = list(enumerate_symmetric_full_placements(square(n)))
         assert len(found) == len(involution_list(n))
         assert all(is_symmetric(p) and is_full(p) for p in found)
+
+
+def reference_symmetric_full_placements(shape):
+    # the pairing recursion as it stood before boards and perms shared one
+    # kernel: indices paired below or on the diagonal, then mirrored
+    n = len(shape)
+    if n == 0:
+        yield Placement((), frozenset())
+        return
+    dots = []
+
+    def pair(free):
+        if not free:
+            yield Placement(shape, frozenset(dots))
+            return
+        t = free[0]
+        if box_in_shape(shape, t, t):
+            dots.append((t, t))
+            yield from pair(free[1:])
+            dots.pop()
+        for idx in range(1, len(free)):
+            u = free[idx]
+            if box_in_shape(shape, u, t):
+                dots.append((u, t))
+                dots.append((t, u))
+                yield from pair(free[1:idx] + free[idx + 1 :])
+                dots.pop()
+                dots.pop()
+
+    yield from pair(tuple(range(1, n + 1)))
+
+
+def test_symmetric_enumeration_matches_the_reference_recursion():
+    for shape in sorted(enumerate_self_conjugate_shapes(7)):
+        got = list(enumerate_symmetric_full_placements(shape))
+        assert got == list(reference_symmetric_full_placements(shape)), shape
 
 
 def test_symmetric_enumeration_rejects_asymmetric_shape():

@@ -72,6 +72,29 @@ def test_run_checks_dispatch():
         checks.run_checks(["nope"])
 
 
+def test_run_checks_validates_every_name_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setattr(checks, "ALL_CHECKS", {"extremes": lambda: ran.append(1) or []})
+    with pytest.raises(InvalidInputError, match="'nope'"):
+        checks.run_checks(["extremes", "nope"])
+    assert ran == []
+
+
+def test_run_checks_passes_each_sweep_only_the_limits_it_takes(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        checks,
+        "ALL_CHECKS",
+        {
+            "side": lambda max_side=5: seen.append(("side", max_side)) or [],
+            "pair": lambda k_max=5, n_max=8: seen.append(("pair", k_max, n_max)) or [],
+        },
+    )
+    checks.run_checks(max_side=3, n_max=6)
+    checks.run_checks(["pair"], k_max=4)
+    assert seen == [("side", 3), ("pair", 5, 6), ("pair", 4, 8)]
+
+
 def test_record_shape():
     for record in checks.check_column_constraint_square(3):
         assert set(record) == {"check", "params", "lhs", "rhs", "pass"}

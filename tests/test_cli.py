@@ -60,6 +60,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(["nonsense"]) == 2
     assert run(["count", "--n", "7", "--patterns", "7781"]) == 2
     assert run(["slide", "--perm", "321", "--i", "1", "--j", "1"]) == 2
+    assert run(["table", "--id", "T1", "--check"]) == 2  # the flag is gone
+
+
+def test_count_past_the_involution_list_limit_is_refused(capsys):
+    # the limit is checked before any involution is built
+    assert run(["count", "--n", "16", "--patterns", "12", "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "limit of 13" in err
 
 
 def test_shapes_and_placements(capsys):

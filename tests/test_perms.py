@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpat.errors import InvalidWordError
+from invpat import perms
+from invpat.errors import InvalidInputError, InvalidWordError
 from invpat.perms import (
     avoids,
     contains,
@@ -142,3 +143,40 @@ def test_text_round_trip():
     assert perm_to_text(tuple(range(1, 12))).count(",") == 10
     with pytest.raises(InvalidWordError):
         perm_from_text("122")
+
+
+def reference_involutions(n):
+    # the pairing recursion as it stood before boards and perms shared one
+    # kernel: the least free index is a fixed point, then paired with each
+    # later free index in turn
+    mapping = [0] * n
+
+    def extend(free):
+        if not free:
+            yield tuple(mapping)
+            return
+        t = free[0]
+        mapping[t - 1] = t
+        yield from extend(free[1:])
+        for idx in range(1, len(free)):
+            u = free[idx]
+            mapping[t - 1] = u
+            mapping[u - 1] = t
+            yield from extend(free[1:idx] + free[idx + 1 :])
+
+    yield from extend(tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_involutions_match_the_reference_recursion(n):
+    assert list(involutions(n)) == list(reference_involutions(n))
+
+
+def test_involution_list_refuses_n_past_its_limit(monkeypatch):
+    def enumerate_nothing(n):
+        raise AssertionError("enumerated before the limit check")
+
+    monkeypatch.setattr(perms, "involutions", enumerate_nothing)
+    for n in (14, 16):
+        with pytest.raises(InvalidInputError, match="limit of 13"):
+            involution_list(n)

@@ -39,6 +39,22 @@ def test_validate_tableau():
     assert validate_tableau([[1, 3], [2]]) == ((1, 3), (2,))
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], []], [[1], [2], [], []], [[]], ((1, 3), (2,), ())])
+def test_empty_rows_are_rejected(rows):
+    # is_standard accepts these (its reference test keeps that); the
+    # tableau operations do not
+    assert is_standard(rows)
+    with pytest.raises(InvalidTableauError):
+        validate_tableau(rows)
+    with pytest.raises(InvalidTableauError):
+        evacuation(rows)
+    with pytest.raises(InvalidTableauError):
+        rsk_inverse(rows, rows)
+    trimmed = [row for row in rows if row]
+    with pytest.raises(InvalidTableauError):
+        rsk_inverse(trimmed, rows)
+
+
 def test_transpose_tableau():
     t = ((1, 2, 4), (3, 5))
     assert transpose_tableau(t) == ((1, 3), (2, 5), (4,))
