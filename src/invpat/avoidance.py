@@ -10,7 +10,7 @@ import json
 import os
 from functools import cache
 from itertools import filterfalse
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from . import boards
@@ -181,43 +181,107 @@ def closed_form_123456(n: int) -> int:
     return total
 
 
+def hook_length_sum(n: int, k: int) -> int:
+    """Avoiders of 12...k: the sum of f^λ over partitions λ of n with λ1 < k.
+
+    RSK sends each involution to one standard tableau, whose first row is
+    as long as the longest increasing subsequence; f^λ, the number of
+    standard tableaux of shape λ, comes from the hook-length formula.
+
+    >>> hook_length_sum(7, 4), hook_length_sum(7, 6)
+    (127, 225)
+    """
+    if n < 0 or k < 1:
+        raise InvalidInputError("need n >= 0 and k >= 1")
+
+    def partitions(rest: int, cap: int):
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, cap), 0, -1):
+            for tail in partitions(rest - first, first):
+                yield (first, *tail)
+
+    total = 0
+    for shape in partitions(n, k - 1):
+        heights = boards.conjugate(shape)
+        hooks = prod(
+            part - c + heights[c] - r - 1 for r, part in enumerate(shape) for c in range(part)
+        )
+        total += factorial(n) // hooks
+    return total
+
+
 # -- persistent memo store ---------------------------------------------------
 
 
-class CountStore:
-    """JSON-backed map from 'patterns|n' keys to exact counts.
+_HEADER = b'{"format": "invpat-counts", "version": 1}'
 
-    Writes are serialized through a single in-process object; reads may
-    happen from any number of consumers.
+
+class CountStore:
+    """Append-only journal mapping 'patterns|n' keys to exact counts.
+
+    Line 1 is the versioned header ``_HEADER``; every later line is one JSON
+    ``[key, count]`` pair.  Each put appends its line with a single write, so
+    nothing already on disk is rewritten.  A key may repeat with the same
+    count (two processes sharing one file); any other deviation makes the
+    whole store corrupt, and loading it raises ``InvalidInputError``.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
         self._data: dict[str, int] = {}
+        self._unsaved: list[bytes] = []
         if os.path.exists(self.path):
             self._data = self._load()
 
+    def _corrupt(self, line: int, why: str) -> InvalidInputError:
+        return InvalidInputError(f"count store {self.path} is corrupt: line {line}: {why}")
+
     def _load(self) -> dict[str, int]:
-        try:
-            with open(self.path) as fh:
-                data = json.load(fh)
-        except ValueError:  # undecodable bytes or malformed JSON
-            data = None
-        if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
-            raise InvalidInputError(
-                f"count store {self.path} is corrupt: expected a JSON object of integer counts"
+        with open(self.path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        # a whole journal ends in a newline, so its last piece is empty
+        if lines[0] != _HEADER:
+            raise self._corrupt(
+                1, f"expected the header {_HEADER.decode()}; a store in"
+                " another format must be deleted and recomputed"
             )
+        data: dict[str, int] = {}
+        for number, line in enumerate(lines[1:-1], start=2):
+            try:
+                entry = json.loads(line)
+            except ValueError:  # undecodable bytes or malformed JSON
+                entry = None
+            if not (
+                type(entry) is list
+                and len(entry) == 2
+                and type(entry[0]) is str
+                and type(entry[1]) is int
+            ):
+                raise self._corrupt(number, "expected a JSON [key, integer count] pair")
+            key, value = entry
+            if data.setdefault(key, value) != value:
+                raise self._corrupt(number, f"{key!r} repeated with a different count")
+        if lines[-1]:
+            raise self._corrupt(len(lines), "no trailing newline (a torn append)")
         return data
 
     def get(self, key: str) -> int | None:
         return self._data.get(key)
 
     def put(self, key: str, value: int) -> None:
+        old = self._data.get(key, value)
+        if old != value:  # a journal line cannot be taken back
+            raise InvalidInputError(f"count store {self.path} holds {key!r} = {old}, not {value}")
         self._data[key] = value
+        self._unsaved.append(json.dumps([key, value]).encode() + b"\n")
         self.save()
 
     def save(self) -> None:
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self._data, fh, indent=0, sort_keys=True)
-        os.replace(tmp, self.path)
+        """Append the lines of every put not yet written, in one write."""
+        text = b"".join(self._unsaved)
+        with open(self.path, "ab") as fh:
+            if fh.tell() == 0:  # this write creates the journal
+                text = _HEADER + b"\n" + text
+            fh.write(text)
+        self._unsaved.clear()

@@ -106,9 +106,7 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
     >>> rb.shape
     (4, 4, 4, 3)
     """
-    mu = boards.validate_shape(mu)
-    if not boards.is_self_conjugate(mu):
-        raise InvalidPlacementError(f"parent shape is not self-conjugate: {mu}")
+    mu = boards._self_conjugate_shape(mu)
     if p.shape != mu or not boards.is_symmetric(p) or not boards.is_full(p):
         raise InvalidPlacementError("placement must be symmetric and full on mu")
 

@@ -119,8 +119,7 @@ def _checked_window(p: Placement, i: int, j: int, lo: int) -> list[tuple[int, in
     narrow = shape[-1] if shape else 0
     if not (i >= 1 and i < narrow and 1 <= j <= narrow - i):
         raise InvalidInputError(f"window (i={i}, j={j}) out of range for {shape}")
-    if not boards.is_self_conjugate(shape):
-        raise InvalidInputError(f"shape is not self-conjugate: {shape}")
+    boards._self_conjugate_shape(shape)
     if not (boards.is_symmetric(p) and boards.is_full(p)):
         raise InvalidInputError("placement must be symmetric and full")
     if boards.placement_contains(p, (3, 2, 1)):

@@ -14,6 +14,7 @@ from invpat.avoidance import (
     closed_form_123456,
     count_avoiders,
     count_avoiders_with_column_constraint,
+    hook_length_sum,
     lambda_sym,
     motzkin,
     pattern_set,
@@ -53,6 +54,21 @@ def test_single_pattern_counts_match_closed_forms():
         assert count_avoiders(n, ["123456"]) == closed_form_123456(n)
 
 
+def test_hook_length_sum_matches_count_avoiders():
+    for k in range(1, 7):
+        increasing = tuple(range(1, k + 1))
+        for n in range(11):
+            assert hook_length_sum(n, k) == count_avoiders(n, [increasing])
+
+
+def test_hook_length_sum_matches_closed_forms():
+    for n in range(1, 31):
+        assert hook_length_sum(n, 3) == closed_form_123(n)
+        assert hook_length_sum(n, 4) == motzkin(n)
+        assert hook_length_sum(n, 5) == closed_form_12345(n)
+        assert hook_length_sum(n, 6) == closed_form_123456(n)
+
+
 def test_motzkin_values():
     assert [motzkin(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -89,6 +105,78 @@ def test_count_store_round_trip(tmp_path):
     assert store.get("123|5") == value
     reloaded = CountStore(path)
     assert reloaded.get("123|5") == value
+
+
+HEADER = '{"format": "invpat-counts", "version": 1}\n'
+
+
+def test_count_store_appends_one_line_per_put(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    store = CountStore(path)
+    assert not path.exists()  # nothing is written before the first put
+    store.put("123|5", 10)
+    store.put("12|3", 1)
+    lines = [HEADER, '["123|5", 10]\n', '["12|3", 1]\n']
+    assert path.read_text() == "".join(lines)
+    reopened = CountStore(path)
+    reopened.put("1234|7", 127)
+    lines.append('["1234|7", 127]\n')
+    # the header is written once and nothing is rewritten: the file is
+    # exactly the lines appended
+    assert path.read_text() == "".join(lines)
+    assert path.stat().st_size == sum(len(line) for line in lines)
+    again = CountStore(path)
+    assert [again.get(k) for k in ("123|5", "12|3", "1234|7", "123|6")] == [10, 1, 127, None]
+
+
+def test_count_store_accepts_a_key_repeated_with_the_same_count(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    # two stores opened on one file before either wrote, as two processes
+    # sharing one cache would be
+    first, second = CountStore(path), CountStore(path)
+    first.put("123|5", 10)
+    second.put("123|5", 10)
+    assert path.read_text() == HEADER + '["123|5", 10]\n' * 2
+    assert CountStore(path).get("123|5") == 10
+
+
+def test_count_store_put_refuses_a_different_count(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    store = CountStore(path)
+    store.put("123|5", 10)
+    with pytest.raises(InvalidInputError, match="123\\|5"):
+        store.put("123|5", 11)
+    assert CountStore(path).get("123|5") == 10
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),  # no header
+        ('{\n"123|5": 10\n}', 1),  # a JSON-object store
+        ('{"format": "invpat-counts", "version": 2}\n', 1),
+        (HEADER[:-1], 1),  # torn header
+        (HEADER + "not json\n", 2),
+        (HEADER + '["123|5"]\n', 2),
+        (HEADER + '["123|5", "10"]\n', 2),
+        (HEADER + '["123|5", 10.0]\n', 2),
+        (HEADER + '["123|5", true]\n', 2),
+        (HEADER + "[5, 10]\n", 2),
+        (HEADER + '{"123|5": 10}\n', 2),
+        (HEADER + '["123|5", 10, 1]\n', 2),
+        (HEADER + "\n", 2),
+        (HEADER + '["123|5", 10]\n\xff\n', 3),
+        (HEADER + '["123|5", 10]\n["12|3", 1]', 3),  # torn append
+        (HEADER + '["123|5", 10]\n["12|3", 1]\n["123|5", 11]\n', 4),
+    ],
+)
+def test_corrupt_count_store_names_its_line(tmp_path, text, line):
+    path = tmp_path / "memo.jsonl"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(InvalidInputError) as info:
+        CountStore(path)
+    message = str(info.value)
+    assert str(path) in message and "corrupt" in message and f"line {line}:" in message
 
 
 def naive_contains(word, sigma):

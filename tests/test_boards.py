@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpat import boards
+from invpat.avoidance import lambda_sym
 from invpat.errors import InvalidPlacementError, InvalidShapeError
 from invpat.perms import contains, involution_list, pattern_of
+from invpat.reduction import suffix_reduction, suffix_set
+from invpat.slide import slide_transform
 from invpat.boards import (
     Placement,
     avoiding,
@@ -67,6 +70,22 @@ def test_self_conjugate_detection():
     assert is_self_conjugate((3, 3, 2))
     assert is_self_conjugate(square(4))
     assert not is_self_conjugate((3, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lambda_sym((3, 2), ["12"]),
+        lambda: suffix_reduction((3, 2), graph_of((1, 2)), suffix_set(1, [(2,)])),
+        lambda: slide_transform(
+            make_placement((4, 4, 3, 3), [(1, 1), (2, 3), (3, 4), (4, 2)]), 1, 1
+        ),
+    ],
+    ids=["lambda_sym", "suffix_reduction", "slide_transform"],
+)
+def test_a_shape_that_is_not_self_conjugate_is_a_shape_error(call):
+    with pytest.raises(InvalidShapeError, match="not self-conjugate"):
+        call()
 
 
 def test_placement_validation():

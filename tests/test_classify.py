@@ -1,8 +1,10 @@
 """Symmetry classification, golden tables, and the conjecture scan."""
 import pytest
 
+from invpat.avoidance import closed_form_123, closed_form_231
 from invpat.classify import (
     TABLE_IDS,
+    _pair_record,
     classify_sk,
     load_tables,
     reproduce_table,
@@ -85,6 +87,14 @@ def test_prefix_exchange_small():
         verify_prefix_exchange((1, 2), (2, 3, 1), 4, 7)
     with pytest.raises(InvalidInputError):
         verify_prefix_exchange((1, 2), (2, 1), 2, 7)
+
+
+def test_pair_record_counts_each_pattern_on_its_own():
+    ns = [4, 5, 6]
+    record = _pair_record((1, 2, 3), (2, 3, 1), ns)
+    assert record["counts_a"] == [closed_form_123(n) for n in ns] == [6, 10, 20]
+    assert record["counts_b"] == [closed_form_231(n) for n in ns] == [8, 16, 32]
+    assert record["equal"] is False
 
 
 def test_scan_reports_but_never_raises():

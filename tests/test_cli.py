@@ -176,10 +176,15 @@ def test_cache_flag(tmp_path, capsys):
     path = tmp_path / "memo.json"
     argv = ["count", "--n", "6", "--patterns", "1234", "--cache", str(path), "--no-timing"]
     assert run(argv) == 0
-    assert json.loads(path.read_text()) == {"1234|6": 51}
-    assert run(argv) == 0  # served from the store
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"format": "invpat-counts", "version": 1},
+        ["1234|6", 51],
+    ]
+    assert run(argv) == 0  # served from the store, which writes nothing
     out, _ = out_of(capsys)
     assert out.endswith("51\n")
+    assert path.read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize(

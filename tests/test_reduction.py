@@ -62,9 +62,9 @@ def test_worked_nine_by_nine_example():
 def test_reduction_requires_symmetric_full_placement():
     with pytest.raises(InvalidPlacementError):
         suffix_reduction((2, 1), graph_of((1, 2)), suffix_set(1, [(2,)]))
-    asym = boards.make_placement((2, 2), [(1, 2), (2, 1)])
+    asym = graph_of((2, 3, 1))  # full on (3, 3, 3), but not an involution
     with pytest.raises(InvalidPlacementError):
-        suffix_reduction((3, 2), asym, suffix_set(1, [(2,)]))
+        suffix_reduction((3, 3, 3), asym, suffix_set(1, [(2,)]))
 
 
 @pytest.mark.parametrize("predicate", ["is_symmetric", "is_full"])
