@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from functools import cache
 from itertools import filterfalse
 from math import comb, factorial, prod
@@ -15,7 +16,15 @@ from typing import Iterable, Sequence
 
 from . import boards
 from .errors import InvalidInputError
-from .perms import Perm, _matcher, involution_list, perm_from_text, perm_to_text
+from .perms import (
+    _LEVELS_PER_FUNCTION,
+    Perm,
+    _matcher,
+    involution_list,
+    pattern_of,
+    perm_from_text,
+    perm_to_text,
+)
 
 PatternSet = frozenset[Perm]
 
@@ -41,13 +50,45 @@ def _avoiding_involutions(n: int, patterns) -> Sequence[Perm]:
     # nested loop that stops at the first match
     found = involution_list(n)
     for sigma in sorted(patterns, key=len):
-        found = list(filterfalse(_matcher(sigma), found))
+        found = list(filterfalse(_matcher((sigma,)), found))
     return found
+
+
+def _avoider_counts(
+    n: int, patterns: Sequence[Perm], start: int = 0, step: int = 1
+) -> list[int]:
+    """For each pattern, how many of involution_list(n)[start::step] avoid it.
+
+    The patterns are matched in units: those that agree on the standardised
+    prefix of all but their last two entries share one compiled matcher,
+    which walks the loops of their common prefixes once for all of them.  A
+    pattern too long to nest with others is a unit of its own.  Each unit
+    counts the masks its matcher returns, and each mask counts against every
+    pattern whose bit it has.
+    """
+    share = involution_list(n)[start::step]
+    units: dict = {}
+    for j, sigma in enumerate(patterns):
+        key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
+        units.setdefault(key, []).append(j)
+    avoiders = [len(share)] * len(patterns)
+    for members in units.values():
+        match = _matcher(tuple(patterns[j] for j in members))
+        for mask, count in Counter(map(match, share)).items():
+            for bit, j in enumerate(members):
+                if mask >> bit & 1:
+                    avoiders[j] -= count
+    return avoiders
 
 
 @cache
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
     return len(_avoiding_involutions(n, patterns))
+
+
+def _cell_key(patterns: PatternSet, n: int) -> str:
+    """The CountStore key of the avoider count of a pattern set at n."""
+    return f"{pattern_set_key(patterns)}|{n}"
 
 
 def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
@@ -60,7 +101,7 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
         raise InvalidInputError("n must be >= 0")
     ps = pattern_set(patterns)
     if store is not None:
-        key = f"{pattern_set_key(ps)}|{n}"
+        key = _cell_key(ps, n)
         hit = store.get(key)
         if hit is not None:
             return hit
@@ -97,7 +138,7 @@ def count_avoiders_with_column_constraint(
     if side not in ("left", "right"):
         raise InvalidInputError("side must be 'left' or 'right'")
     window = slice(0, i) if side == "left" else slice(n - i, n)
-    match = _matcher(tuple(flank))
+    match = _matcher((tuple(flank),))
     return sum(
         1 for pi in _avoiding_involutions(n, pattern_set(main)) if not match(pi[window])
     )
@@ -231,6 +272,12 @@ class CountStore:
         self.path = os.fspath(path)
         self._data: dict[str, int] = {}
         self._unsaved: list[bytes] = []
+        # refused here, so no count is computed for a store it cannot keep
+        if os.path.isdir(self.path):
+            raise InvalidInputError(f"count store {self.path} is a directory")
+        parent = os.path.dirname(os.path.abspath(self.path))
+        if not os.path.isdir(parent):
+            raise InvalidInputError(f"count store {self.path}: no directory {parent}")
         if os.path.exists(self.path):
             self._data = self._load()
 
@@ -238,8 +285,11 @@ class CountStore:
         return InvalidInputError(f"count store {self.path} is corrupt: line {line}: {why}")
 
     def _load(self) -> dict[str, int]:
-        with open(self.path, "rb") as fh:
-            lines = fh.read().split(b"\n")
+        try:
+            with open(self.path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read count store {self.path}: {exc.strerror}") from exc
         # a whole journal ends in a newline, so its last piece is empty
         if lines[0] != _HEADER:
             raise self._corrupt(
@@ -280,8 +330,11 @@ class CountStore:
     def save(self) -> None:
         """Append the lines of every put not yet written, in one write."""
         text = b"".join(self._unsaved)
-        with open(self.path, "ab") as fh:
-            if fh.tell() == 0:  # this write creates the journal
-                text = _HEADER + b"\n" + text
-            fh.write(text)
+        try:
+            with open(self.path, "ab") as fh:
+                if fh.tell() == 0:  # this write creates the journal
+                    text = _HEADER + b"\n" + text
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write count store {self.path}: {exc.strerror}") from exc
         self._unsaved.clear()

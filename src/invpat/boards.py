@@ -154,7 +154,7 @@ def avoiding(placements, patterns, columns=None) -> list[Placement]:
     >>> [placement_to_text(p) for p in avoiding(pool, [(1, 2)])]
     ['3,3,3;1,3 2,2 3,1']
     """
-    matchers = [_matcher(sigma, board=True) for sigma in sorted(patterns, key=len)]
+    matchers = [_matcher((sigma,), board=True) for sigma in sorted(patterns, key=len)]
     allowed = None if columns is None else set(columns)
     found = []
     for p in placements:

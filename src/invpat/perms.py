@@ -107,77 +107,144 @@ def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None], ...]:
 
 
 # CPython refuses more than 20 statically nested blocks, so the matcher for
-# a longer pattern is a chain of functions, each nesting this many loops.
+# a pattern longer than this is a chain of functions, each nesting this many
+# loops.  Only a unit of one pattern may be that long.
 _LEVELS_PER_FUNCTION = 16
 
 
-def _matcher_source(sigma: Perm, board: bool) -> str:
-    # One nested `for` per pattern position d.  Level d scans the candidates
-    # left once the m - 1 - d later positions are reserved, and keeps value
-    # v<d> only if it lies between the values at its two linked earlier
-    # positions.  The board form reads (x, y) dots and also demands that the
-    # box at (x<d>, largest y so far) exists; that y is the value at the
-    # position of the largest of sigma[:d + 1], so it is known here, and
-    # when it is v<d> itself the box is the dot's own and needs no test.
-    # The source holds only integer literals and fixed names, no caller text.
-    m = len(sigma)
+class _Node:
+    """One standardised prefix of the unit's patterns: the loop at depth d."""
+
+    def __init__(self, sigma: Perm, d: int):
+        self.sigma = sigma  # any pattern of the unit with this prefix
+        self.d = d
+        self.leaf = 0  # bits of the patterns that end here
+        self.bits = 0  # bits of the patterns that pass through here
+        self.rest = len(sigma) - 1 - d  # fewest positions still to place
+        self.children: dict[int, _Node] = {}
+
+
+def _trie(unit: tuple[Perm, ...]) -> _Node:
+    # A child is told apart from its siblings by the rank of its entry among
+    # the prefix so far, which with the parent's prefix fixes its own.
+    root = _Node((), -1)
+    for j, sigma in enumerate(unit):
+        node = root
+        node.bits |= 1 << j
+        for d, v in enumerate(sigma):
+            rank = sum(u < v for u in sigma[:d])
+            node = node.children.setdefault(rank, _Node(sigma, d))
+            node.bits |= 1 << j
+            node.rest = min(node.rest, len(sigma) - 1 - d)
+        node.leaf |= 1 << j
+    return root
+
+
+def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
+    # One nested `for` per node of the trie of standardised prefixes, so the
+    # patterns of the unit share the loops of their common prefixes.  The
+    # loop at depth d scans the candidates left once the node's fewest later
+    # positions are reserved, and keeps value v<d> only if it lies between
+    # the values at its two linked earlier positions.  The board form reads
+    # (x, y) dots and also demands that the box at (x<d>, largest y so far)
+    # exists; that y is the value at the position of the largest of the
+    # prefix, so it is known here, and when it is v<d> itself the box is the
+    # dot's own and needs no test.
+    #
+    # match returns a mask whose bit j is set iff unit[j] occurs.  A node
+    # where patterns end sets their bits, and breaks its loop if no longer
+    # pattern passes through it; a child whose patterns are all found is
+    # skipped, a node whose patterns are all found breaks, and a full mask
+    # is returned at once.  For one pattern every such test is known to
+    # pass and is left out, which leaves plain nested loops returning 1 or
+    # 0.  The source holds only integer literals and fixed names, no caller
+    # text.
     head = "seq, shape" if board else "seq"
-    if m == 0:
-        return f"def match({head}):\n    return True\n"
-    links = _pattern_links(sigma)
-    top = [max(range(d + 1), key=sigma.__getitem__) for d in range(m)]
-    reads = [
-        {e for e in (*links[d], top[d] if board else None) if e is not None}
-        for d in range(m)
-    ]
+    full = (1 << len(unit)) - 1
+    chained = len(set(unit)) == 1
+    if not chained and max(map(len, unit)) > _LEVELS_PER_FUNCTION:
+        raise ValueError(f"a pattern longer than {_LEVELS_PER_FUNCTION} needs a unit of its own")
+    root = _trie(unit)
+    functions = []
 
-    def carried(k: int) -> str:
+    def carried(sigma: Perm, k: int) -> str:
         # values chosen before level k that level k or a later one reads
-        kept = sorted({e for d in range(k, m) for e in reads[d] if e < k})
-        return "".join(f", v{e}" for e in kept)
+        links = _pattern_links(sigma)
+        reads = {e for d in range(k, len(sigma)) for e in links[d] if e is not None}
+        if board:
+            reads |= {max(range(d + 1), key=sigma.__getitem__) for d in range(k, len(sigma))}
+        return "".join(f", v{e}" for e in sorted(e for e in reads if e < k))
 
-    lines = []
-    for first in range(0, m, _LEVELS_PER_FUNCTION):
-        last = min(first + _LEVELS_PER_FUNCTION, m)
-        if first == 0:
-            lines += [f"def match({head}):", f"    e = len(seq) - {m - 1}"]
-        else:
-            lines.append(f"def level{first}({head}, e, i{first - 1}{carried(first)}):")
-        pad = "    "
-        for d in range(first, last):
-            start = f"i{d - 1} + 1" if d else "0"
-            stop = f"e + {d}" if d else "e"
-            lines.append(f"{pad}for i{d} in range({start}, {stop}):")
-            pad += "    "
-            lines.append(f"{pad}{f'x{d}, ' if board else ''}v{d} = seq[i{d}]")
-            lo, hi = links[d]
-            if lo is not None or hi is not None:
-                low = f"v{lo} < " if lo is not None else ""
-                high = f" < v{hi}" if hi is not None else ""
-                lines += [f"{pad}if not {low}v{d}{high}:", f"{pad}    continue"]
-            if board and top[d] != d:
-                lines += [f"{pad}if x{d} > shape[v{top[d]} - 1]:", f"{pad}    continue"]
-            if d == m - 1:
-                lines.append(f"{pad}return True")
-            elif d == last - 1:
-                lines += [
-                    f"{pad}if level{last}({head}, e, i{d}{carried(last)}):",
-                    f"{pad}    return True",
-                ]
-        lines.append("    return False")
+    def leaf(node: _Node, pad: str) -> list[str]:
+        if node.leaf == full:
+            return [f"{pad}return {full}"]
+        lines = [f"{pad}mask |= {node.leaf}", f"{pad}if mask == {full}:", f"{pad}    return {full}"]
+        return lines if node.children else lines + [f"{pad}break"]
+
+    def children(node: _Node, pad: str) -> list[str]:
+        lines = []
+        for child in node.children.values():
+            d = child.d
+            if d and d % _LEVELS_PER_FUNCTION == 0:
+                args = f"{head}, n, i{d - 1}{carried(child.sigma, d)}"
+                functions.append(
+                    [f"def level{d}({args}):", *loop(child, "    "), "    return 0"]
+                )
+                lines += [f"{pad}if level{d}({args}):", f"{pad}    return {full}"]
+            elif child.bits == node.bits:  # the node's loop tests these
+                lines += loop(child, pad)
+            else:
+                lines.append(f"{pad}if mask & {child.bits} != {child.bits}:")
+                lines += loop(child, pad + "    ")
+        if node.children and node.bits != full:
+            lines += [f"{pad}if mask & {node.bits} == {node.bits}:", f"{pad}    break"]
+        return lines
+
+    def loop(node: _Node, pad: str) -> list[str]:
+        d, sigma = node.d, node.sigma
+        start = f"i{d - 1} + 1" if d else "0"
+        stop = f"n - {node.rest}" if node.rest else "n"
+        lines = [f"{pad}for i{d} in range({start}, {stop}):"]
+        pad += "    "
+        lines.append(f"{pad}{f'x{d}, ' if board else ''}v{d} = seq[i{d}]")
+        lo, hi = _pattern_links(sigma)[d]
+        if lo is not None or hi is not None:
+            low = f"v{lo} < " if lo is not None else ""
+            high = f" < v{hi}" if hi is not None else ""
+            lines += [f"{pad}if not {low}v{d}{high}:", f"{pad}    continue"]
+        top = max(range(d + 1), key=sigma.__getitem__)
+        if board and top != d:
+            lines += [f"{pad}if x{d} > shape[v{top} - 1]:", f"{pad}    continue"]
+        if node.leaf:
+            lines += leaf(node, pad)
+        return lines + children(node, pad)
+
+    if root.leaf == full:  # every pattern is empty
+        body = [f"    return {full}"]
+    else:
+        body = ["    n = len(seq)"]
+        if not chained:
+            body.append(f"    mask = {root.leaf}")
+        body += children(root, "    ")
+        body.append("    return mask" if not chained else "    return 0")
+    lines = [f"def match({head}):", *body]
+    for function in functions:
+        lines += function
     return "\n".join(lines) + "\n"
 
 
 @cache
-def _matcher(sigma: Perm, board: bool = False):
-    """The compiled containment test for one pattern, built on first use.
+def _matcher(unit: tuple[Perm, ...], board: bool = False):
+    """The compiled containment test for a unit of patterns, built on first
+    use; its result has bit j set iff unit[j] occurs.
 
     The word form is called as match(seq); the board form as
     match(dots, shape) with dots sorted by column.
     """
     namespace: dict = {}
-    source = _matcher_source(sigma, board)
-    exec(compile(source, f"<matcher m={len(sigma)}>", "exec"), namespace)
+    source = _matcher_source(unit, board)
+    lengths = ",".join(str(len(sigma)) for sigma in unit)
+    exec(compile(source, f"<matcher m={lengths}>", "exec"), namespace)
     return namespace["match"]
 
 
@@ -186,14 +253,14 @@ def contains(pi: Sequence[int], sigma: Perm) -> bool:
 
     pi may be any sequence of distinct integers; only relative order is
     used.  The empty pattern is contained in everything.  The test runs the
-    matcher compiled for sigma on its first use.
+    matcher compiled for the one-pattern unit (sigma,) on its first use.
 
     >>> contains((1, 2, 7, 9, 6, 5, 3, 8, 4), (1, 2, 3, 5, 4))
     True
     >>> contains((2, 1, 4, 3), (1, 2, 3, 4))
     False
     """
-    return _matcher(sigma)(pi)
+    return _matcher((sigma,))(pi) == 1
 
 
 def avoids(pi: Sequence[int], sigma: Perm) -> bool:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from invpat.avoidance import (
     CountStore,
+    _avoider_counts,
     closed_form_123,
     closed_form_231,
     closed_form_1234,
@@ -20,6 +21,7 @@ from invpat.avoidance import (
     pattern_set,
     pattern_set_key,
 )
+from invpat.classify import symmetry_classes
 from invpat.errors import InvalidInputError, InvalidShapeError
 from invpat.perms import involutions, pattern_of
 
@@ -59,6 +61,22 @@ def test_hook_length_sum_matches_count_avoiders():
         increasing = tuple(range(1, k + 1))
         for n in range(11):
             assert hook_length_sum(n, k) == count_avoiders(n, [increasing])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_batch_counts_match_count_avoiders(k):
+    reps = [cls[0] for cls in symmetry_classes(k)]
+    for n in range(k, 10):
+        want = [count_avoiders(n, [rep]) for rep in reps]
+        assert _avoider_counts(n, reps) == want
+    # interleaved shares of the involutions sum to the whole
+    shares = [_avoider_counts(n, reps, w, 3) for w in range(3)]
+    assert [sum(s) for s in zip(*shares)] == want
+
+
+def test_batch_gives_a_long_pattern_a_unit_of_its_own():
+    long = tuple(range(17, 0, -1))
+    assert _avoider_counts(6, [(1, 2), long, (2, 1), long, (1, 3, 2)]) == [1, 76, 1, 76, 20]
 
 
 def test_hook_length_sum_matches_closed_forms():

@@ -1,7 +1,9 @@
 """Symmetry classification, golden tables, and the conjecture scan."""
+import json
+
 import pytest
 
-from invpat.avoidance import closed_form_123, closed_form_231
+from invpat.avoidance import CountStore, closed_form_123, closed_form_231
 from invpat.classify import (
     TABLE_IDS,
     _pair_record,
@@ -13,7 +15,7 @@ from invpat.classify import (
     verify_prefix_exchange,
 )
 from invpat.errors import InvalidInputError, TableMismatchError
-from invpat.perms import perm_from_text, symmetry_class
+from invpat.perms import perm_from_text, perm_to_text, symmetry_class
 
 
 def test_symmetry_class_counts():
@@ -44,6 +46,42 @@ def test_classify_s3_groups():
 def test_classify_validates_arguments():
     with pytest.raises(InvalidInputError):
         classify_sk(3, 3)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.0, "2", True, None])
+def test_bad_jobs_is_refused(jobs):
+    with pytest.raises(InvalidInputError, match="jobs"):
+        classify_sk(3, 5, jobs=jobs)
+    with pytest.raises(InvalidInputError, match="jobs"):
+        reproduce_table("T1", jobs=jobs)
+
+
+def test_classify_with_workers_matches_serial():
+    assert classify_sk(5, 9, jobs=2) == classify_sk(5, 9, jobs=1)
+
+
+def test_reproduce_table_with_workers():
+    table = reproduce_table("T1", jobs=2)
+    assert table["ns"] == list(range(5, 12))
+
+
+def _journal(path):
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"format": "invpat-counts", "version": 1}
+    return [tuple(json.loads(line)) for line in lines[1:]]
+
+
+def test_classify_puts_one_journal_line_per_cell(tmp_path):
+    path = tmp_path / "counts"
+    first = classify_sk(5, 8, store=CountStore(path))
+    keys = [key for key, _ in _journal(path)]
+    classes = symmetry_classes(5)
+    assert sorted(keys) == sorted(f"{perm_to_text(c[0])}|{n}" for c in classes for n in (6, 7, 8))
+    again = classify_sk(5, 9, store=CountStore(path))
+    added = _journal(path)[len(keys) :]
+    assert sorted(key for key, _ in added) == sorted(f"{perm_to_text(c[0])}|9" for c in classes)
+    assert again == classify_sk(5, 9)
+    assert {vec[:3] for vec, _ in again.groups} == {vec for vec, _ in first.groups}
 
 
 def test_golden_fixture_classes_are_symmetry_classes():

@@ -198,6 +198,50 @@ def test_bad_jobs_is_a_usage_error(capsys, jobs, message):
     assert "--jobs" in err and message in err
 
 
+def test_store_path_that_is_a_directory_is_refused(tmp_path, capsys):
+    argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(tmp_path), "--no-timing"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert str(tmp_path) in err and "is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_store_path_in_a_missing_directory_is_refused(tmp_path, capsys, monkeypatch):
+    from invpat import avoidance
+
+    def count_nothing(n, patterns):
+        raise AssertionError("counted before the store path was checked")
+
+    monkeypatch.setattr(avoidance, "_count_avoiders", count_nothing)
+    path = tmp_path / "nodir" / "x.store"
+    argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(path), "--no-timing"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert str(path) in err and "no directory" in err
+    assert not path.parent.exists()
+
+
+def test_store_that_cannot_be_written_is_named(tmp_path, capsys, monkeypatch):
+    from invpat import avoidance
+
+    path = tmp_path / "memo.json"
+
+    def fail_open(file, mode="r", *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(file))
+
+    monkeypatch.setattr(avoidance, "open", fail_open, raising=False)
+    argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(path), "--no-timing"]
+    assert run(argv) == 2
+    err = out_of(capsys)[1]
+    assert f"cannot write count store {path}: Permission denied" in err
+    path.write_text("")
+    assert run(argv) == 2
+    err = out_of(capsys)[1]
+    assert f"cannot read count store {path}: Permission denied" in err
+
+
 def test_corrupt_store_is_named(tmp_path, capsys):
     path = tmp_path / "memo.json"
     path.write_text("{")

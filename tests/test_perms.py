@@ -119,6 +119,44 @@ def test_contains_chains_past_the_nesting_limit():
     assert contains(swapped, swapped)
 
 
+@st.composite
+def words_with_units(draw):
+    # a unit of 1..12 patterns of mixed lengths 1..7 and a word of n <= 10
+    # distinct integers; half the words have an occurrence of one of the
+    # unit's patterns planted
+    lengths = st.integers(1, 7).flatmap(lambda m: st.permutations(range(1, m + 1)))
+    unit = tuple(tuple(p) for p in draw(st.lists(lengths, min_size=1, max_size=12)))
+    n = draw(st.integers(0, 10))
+    sigma = draw(st.sampled_from(unit))
+    m = len(sigma)
+    if m <= n and draw(st.booleans()):
+        word = [10 * v for v in sigma]
+        fillers = st.integers(1, 10 * m + 9).filter(lambda v: v % 10)
+        for value in draw(st.lists(fillers, min_size=n - m, max_size=n - m, unique=True)):
+            word.insert(draw(st.integers(0, len(word))), value)
+    else:
+        word = draw(st.lists(st.integers(-100, 100), min_size=n, max_size=n, unique=True))
+    return unit, tuple(word)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(words_with_units())
+def test_unit_mask_bits_match_brute_force(case):
+    unit, word = case
+    want = sum(naive_contains(word, sigma) << j for j, sigma in enumerate(unit))
+    assert perms._matcher(unit)(word) == want
+    # on the graph of the word's pattern in a square, the board form agrees
+    dots = [(x + 1, v) for x, v in enumerate(pattern_of(word))]
+    assert perms._matcher(unit, board=True)(dots, (len(word),) * len(word)) == want
+
+
+def test_only_a_one_pattern_unit_may_pass_the_nesting_limit():
+    long = tuple(range(1, 18))
+    assert perms._matcher((long,))(tuple(range(1, 19))) == 1
+    with pytest.raises(ValueError, match="unit of its own"):
+        perms._matcher((long, (2, 1)))
+
+
 def test_involution_counts_match_known_sequence():
     expected = [1, 1, 2, 4, 10, 26, 76, 232, 764]
     assert [len(involution_list(n)) for n in range(9)] == expected
