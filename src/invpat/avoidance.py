@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from functools import cache
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
@@ -81,9 +80,16 @@ def _avoider_counts(
     return avoiders
 
 
-@cache
+# count_avoiders' in-process memo, (n, pattern set) -> count; classify
+# fills it a batch at a time
+_known: dict[tuple[int, PatternSet], int] = {}
+
+
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
-    return len(_avoiding_involutions(n, patterns))
+    count = _known.get((n, patterns))
+    if count is None:
+        count = _known[n, patterns] = len(_avoiding_involutions(n, patterns))
+    return count
 
 
 def _cell_key(patterns: PatternSet, n: int) -> str:
@@ -109,6 +115,42 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
         store.put(key, value)
         return value
     return _count_avoiders(n, ps)
+
+
+def _each_count(
+    n: int, patterns: list[Perm], store: "CountStore | None", pool, jobs: int
+) -> list[int]:
+    """The avoider count at n of each pattern alone.
+
+    The store is read once per cell.  The cells that neither it nor the
+    memo holds are counted as one batch into the memo, split over jobs
+    interleaved shares of the involutions when a process pool is given;
+    every cell is then read through count_avoiders, and the store gets one
+    journal line per cell it lacked.
+    """
+    cells = [frozenset([sigma]) for sigma in patterns]
+    keys = [_cell_key(cell, n) for cell in cells]
+    stored = [None] * len(cells) if store is None else [store.get(key) for key in keys]
+    for cell, count in zip(cells, stored):
+        if count is not None:
+            _known.setdefault((n, cell), count)
+    todo = [sigma for sigma, cell in zip(patterns, cells) if (n, cell) not in _known]
+    if todo:
+        if pool is None:
+            counts = _avoider_counts(n, todo)
+        else:
+            shares = pool.map(
+                _avoider_counts, repeat(n), repeat(todo, jobs), range(jobs), repeat(jobs)
+            )
+            counts = [sum(cell) for cell in zip(*shares)]
+        for sigma, count in zip(todo, counts):
+            _known[n, frozenset([sigma])] = count
+    column = [count_avoiders(n, cell) for cell in cells]
+    if store is not None:
+        for key, count, hit in zip(keys, column, stored):
+            if hit is None:
+                store.put(key, count)
+    return column
 
 
 def lambda_sym(shape, patterns) -> int:

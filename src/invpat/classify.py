@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from itertools import permutations, repeat
-from multiprocessing import get_context
+from itertools import permutations
 
-from .avoidance import CountStore, _avoider_counts, _cell_key, count_avoiders
+from .avoidance import CountStore, _each_count, count_avoiders
 from .errors import InvalidInputError, TableMismatchError
 from .perms import (
     Perm,
@@ -80,38 +80,15 @@ def classify_sk(
 def _count_vectors(
     reps: list[Perm], ns: tuple[int, ...], jobs: int, store: CountStore | None
 ) -> list[tuple[int, ...]]:
-    # One batch of all the representatives per n.  Without a store, jobs
-    # workers each count every unit over an interleaved share of the
-    # involutions and the shares are summed; with one, the counting stays in
-    # this process.
+    # Without a store, jobs workers each count the batch of every n over an
+    # interleaved share of the involutions and the shares are summed; with
+    # one, the counting stays in this process.
     if type(jobs) is not int or jobs < 1:
         raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
-    if store is not None or jobs == 1:
-        columns = [_stored_counts(n, reps, store) for n in ns]
-    else:
-        with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
-            columns = []
-            for n in ns:
-                shares = pool.map(
-                    _avoider_counts, repeat(n), repeat(reps, jobs), range(jobs), repeat(jobs)
-                )
-                columns.append([sum(cell) for cell in zip(*shares)])
+    parallel = jobs > 1 and store is None
+    with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
+        columns = [_each_count(n, reps, store, pool, jobs) for n in ns]
     return list(zip(*columns))
-
-
-def _stored_counts(n: int, reps: list[Perm], store: CountStore | None) -> list[int]:
-    """The avoider counts at n: read from the store where it has them, the
-    rest counted as one batch and put back, one journal line per cell."""
-    if store is None:
-        return _avoider_counts(n, reps)
-    keys = [_cell_key(frozenset([rep]), n) for rep in reps]
-    counts = [store.get(key) for key in keys]
-    missing = [j for j, count in enumerate(counts) if count is None]
-    if missing:
-        for j, count in zip(missing, _avoider_counts(n, [reps[j] for j in missing])):
-            counts[j] = count
-            store.put(keys[j], count)
-    return counts
 
 
 def load_tables() -> dict:

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from invpat.avoidance import CountStore, closed_form_123, closed_form_231
+from invpat import avoidance
+from invpat.avoidance import CountStore, closed_form_123, closed_form_231, count_avoiders
 from invpat.classify import (
     TABLE_IDS,
     _pair_record,
@@ -56,13 +57,44 @@ def test_bad_jobs_is_refused(jobs):
         reproduce_table("T1", jobs=jobs)
 
 
-def test_classify_with_workers_matches_serial():
-    assert classify_sk(5, 9, jobs=2) == classify_sk(5, 9, jobs=1)
+def test_classify_with_workers_matches_serial(monkeypatch):
+    reports = []
+    for jobs in (2, 1):
+        monkeypatch.setattr(avoidance, "_known", {})  # so each call counts
+        reports.append(classify_sk(5, 9, jobs=jobs))
+    assert reports[0] == reports[1]
 
 
-def test_reproduce_table_with_workers():
+def test_reproduce_table_with_workers(monkeypatch):
+    monkeypatch.setattr(avoidance, "_known", {})
     table = reproduce_table("T1", jobs=2)
     assert table["ns"] == list(range(5, 12))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_repeated_classification_counts_nothing(monkeypatch, jobs):
+    monkeypatch.setattr(avoidance, "_known", {})
+    first = classify_sk(4, 8, jobs=jobs)
+
+    def count_nothing(*args):
+        raise AssertionError("counted a cell already known")
+
+    monkeypatch.setattr(avoidance, "_avoiding_involutions", count_nothing)
+    monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
+    assert classify_sk(4, 8, jobs=jobs) == first
+    assert count_avoiders(8, ["1234"]) == 323
+
+
+def test_stored_cells_are_not_counted(monkeypatch, tmp_path):
+    path = tmp_path / "counts"
+    first = classify_sk(4, 8, store=CountStore(path))
+    monkeypatch.setattr(avoidance, "_known", {})
+
+    def count_nothing(*args):
+        raise AssertionError("counted a cell the store holds")
+
+    monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
+    assert classify_sk(4, 8, store=CountStore(path)) == first
 
 
 def _journal(path):
