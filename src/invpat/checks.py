@@ -373,8 +373,10 @@ ALL_CHECKS = {
 def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
     """Run the named sweeps (all by default) and pool their records.
 
-    Every name is checked before any sweep runs.  Each size limit that is
-    given goes to the sweeps that take it; the others keep their defaults.
+    Every name, and every size limit that is given, is checked before any
+    sweep runs: a limit that none of the chosen sweeps takes is refused.
+    Each given limit goes to the sweeps that take it; the others keep their
+    defaults.
     """
     chosen = list(ALL_CHECKS) if names is None else list(names)
     for name in chosen:
@@ -383,11 +385,16 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
                 f"unknown check {name!r}; choose from {sorted(ALL_CHECKS)}"
             )
     limits = {"max_side": max_side, "n_max": n_max, "k_max": k_max}
+    limits = {k: v for k, v in limits.items() if v is not None}
+    taken = {name: inspect.signature(ALL_CHECKS[name]).parameters for name in chosen}
+    for limit in limits:
+        if not any(limit in params for params in taken.values()):
+            raise InvalidInputError(
+                f"{limit} is taken by none of the chosen checks {chosen}"
+            )
     records = []
     for name in chosen:
-        fn = ALL_CHECKS[name]
-        taken = inspect.signature(fn).parameters
         records.extend(
-            fn(**{k: v for k, v in limits.items() if v is not None and k in taken})
+            ALL_CHECKS[name](**{k: v for k, v in limits.items() if k in taken[name]})
         )
     return records

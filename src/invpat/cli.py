@@ -82,8 +82,8 @@ def _store(args) -> CountStore | None:
 
 
 # -- subcommand handlers -----------------------------------------------------
-# Each returns (params, results, text_lines, csv_rows); csv_rows is None when
-# the command has no tabular form.
+# Each returns (params, results, text_lines, csv_rows); csv_rows is None for
+# the commands whose --format has no csv choice.
 
 
 def cmd_count(args):
@@ -299,13 +299,6 @@ def _worker_count(text: str) -> int:
     return jobs
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--jobs", type=_worker_count, default=1, help="worker count (>= 1)")
-    sub.add_argument("--cache", help=f"memo store path (or ${CACHE_ENV})")
-    sub.add_argument("--no-timing", action="store_true", help="suppress timing output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invpat",
@@ -315,75 +308,102 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("count", help="count involutions avoiding a pattern set")
+    # Each subcommand takes only the options its handler reads: csv and the
+    # count store for the commands that print count cells, workers for the
+    # two that count many cells.
+    plain = argparse.ArgumentParser(add_help=False)
+    tabular = argparse.ArgumentParser(add_help=False)
+    for parent, formats in (
+        (plain, ("text", "json")),
+        (tabular, ("text", "json", "csv")),
+    ):
+        parent.add_argument("--format", choices=formats, default="text")
+        parent.add_argument(
+            "--no-timing", action="store_true", help="suppress timing output"
+        )
+    tabular.add_argument("--cache", help=f"memo store path (or ${CACHE_ENV})")
+    pooled = argparse.ArgumentParser(add_help=False, parents=[tabular])
+    pooled.add_argument(
+        "--jobs", type=_worker_count, default=1, help="worker count (>= 1)"
+    )
+
+    s = subs.add_parser(
+        "count", parents=[tabular], help="count involutions avoiding a pattern set"
+    )
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--patterns", required=True)
-    _add_common(s)
     s.set_defaults(handler=cmd_count)
 
-    s = subs.add_parser("shapes", help="list self-conjugate shapes")
+    s = subs.add_parser("shapes", parents=[plain], help="list self-conjugate shapes")
     s.add_argument("--max-side", type=int, required=True)
-    _add_common(s)
     s.set_defaults(handler=cmd_shapes)
 
-    s = subs.add_parser("placements", help="enumerate full placements on a shape")
+    s = subs.add_parser(
+        "placements", parents=[plain], help="enumerate full placements on a shape"
+    )
     s.add_argument("--shape", required=True, help="parts, largest first: 3,3,2")
     s.add_argument("--all", action="store_true", help="all full, not just symmetric")
     s.add_argument("--avoid", help="patterns the placements must avoid")
     s.add_argument("--count-only", action="store_true")
-    _add_common(s)
     s.set_defaults(handler=cmd_placements)
 
-    s = subs.add_parser("rsk", help="row insertion, its inverse, and evacuation")
+    s = subs.add_parser(
+        "rsk", parents=[plain], help="row insertion, its inverse, and evacuation"
+    )
     s.add_argument("--perm", help="word to insert")
     s.add_argument("--p", help="insertion tableau, rows joined by '/'")
     s.add_argument("--q", help="recording tableau")
-    _add_common(s)
     s.set_defaults(handler=cmd_rsk)
 
-    s = subs.add_parser("reduce", help="reduce a placement by a suffix set")
+    s = subs.add_parser(
+        "reduce", parents=[plain], help="reduce a placement by a suffix set"
+    )
     s.add_argument("--perm", help="involution whose graph is the placement")
     s.add_argument("--placement", help="textual placement: shape;x,y x,y")
     s.add_argument("--prefix-length", type=int, required=True)
     s.add_argument("--suffixes", required=True, help="orderings joined by '|': 45|54")
     s.add_argument("--prefix", help="also test prefix containment equivalence")
-    _add_common(s)
     s.set_defaults(handler=cmd_reduce)
 
-    s = subs.add_parser("slide", help="shift a descent-free column window by one")
+    s = subs.add_parser(
+        "slide", parents=[plain], help="shift a descent-free column window by one"
+    )
     s.add_argument("--perm", help="involution whose graph is the placement")
     s.add_argument("--placement", help="textual placement: shape;x,y x,y")
     s.add_argument("--i", type=int, required=True)
     s.add_argument("--j", type=int, required=True)
     s.add_argument("--inverse", action="store_true")
     s.add_argument("--trace", action="store_true", help="list the dot moves")
-    _add_common(s)
     s.set_defaults(handler=cmd_slide)
 
-    s = subs.add_parser("classify", help="group S_k patterns by count vectors")
+    s = subs.add_parser(
+        "classify", parents=[pooled], help="group S_k patterns by count vectors"
+    )
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n-max", type=int, required=True)
-    _add_common(s)
     s.set_defaults(handler=cmd_classify)
 
-    s = subs.add_parser("table", help="recompute a stored count table and compare")
+    s = subs.add_parser(
+        "table", parents=[pooled], help="recompute a stored count table and compare"
+    )
     s.add_argument("--id", required=True, choices=classify.TABLE_IDS)
-    _add_common(s)
     s.set_defaults(handler=cmd_table)
 
-    s = subs.add_parser("verify", help="run exhaustive verification sweeps")
+    s = subs.add_parser(
+        "verify", parents=[plain], help="run exhaustive verification sweeps"
+    )
     s.add_argument("--check", help="comma-separated sweep names; default all")
     s.add_argument("--max-side", type=int)
     s.add_argument("--n-max", type=int)
     s.add_argument("--k-max", type=int)
-    _add_common(s)
     s.set_defaults(handler=cmd_verify)
 
-    s = subs.add_parser("scan", help="report (never assert) open equalities")
+    s = subs.add_parser(
+        "scan", parents=[plain], help="report (never assert) open equalities"
+    )
     s.add_argument("--n-max", type=int, default=9)
     s.add_argument("--shape-side", type=int, default=5)
     s.add_argument("--k-max", type=int, default=4)
-    _add_common(s)
     s.set_defaults(handler=cmd_scan)
 
     return parser
@@ -422,9 +442,6 @@ def run(argv) -> int:
             payload["seconds"] = round(elapsed, 3)
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        if csv_rows is None:
-            print("error: this command has no csv form", file=sys.stderr)
-            return 2
         print("class,n,count")
         for label, n, count in csv_rows:
             print(f"{label},{n},{count}")

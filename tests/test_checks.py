@@ -95,6 +95,29 @@ def test_run_checks_passes_each_sweep_only_the_limits_it_takes(monkeypatch):
     assert seen == [("side", 3), ("pair", 5, 6), ("pair", 4, 8)]
 
 
+@pytest.mark.parametrize(
+    "names, limits",
+    [
+        (["side"], {"n_max": 6}),
+        (["side"], {"max_side": 3, "k_max": 4}),
+        (["pair"], {"max_side": 3}),
+    ],
+)
+def test_run_checks_refuses_a_limit_no_chosen_sweep_takes(monkeypatch, names, limits):
+    ran = []
+    monkeypatch.setattr(
+        checks,
+        "ALL_CHECKS",
+        {
+            "side": lambda max_side=5: ran.append("side") or [],
+            "pair": lambda k_max=5, n_max=8: ran.append("pair") or [],
+        },
+    )
+    with pytest.raises(InvalidInputError, match="taken by none of the chosen checks"):
+        checks.run_checks(names, **limits)
+    assert ran == []
+
+
 def test_record_shape():
     for record in checks.check_column_constraint_square(3):
         assert set(record) == {"check", "params", "lhs", "rhs", "pass"}

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from invpat import checks
 from invpat.cli import parse_patterns, run
 from invpat.errors import InvalidInputError
 
@@ -157,11 +158,64 @@ def test_csv_rejected_where_meaningless(capsys):
     assert run(["shapes", "--max-side", "2", "--format", "csv", "--no-timing"]) == 2
 
 
+# The smallest valid invocation of each subcommand.
+MINIMAL = {
+    "count": ["--n", "3", "--patterns", "12"],
+    "shapes": ["--max-side", "2"],
+    "placements": ["--shape", "2,2"],
+    "rsk": ["--perm", "21"],
+    "reduce": ["--perm", "12", "--prefix-length", "1", "--suffixes", "2"],
+    "slide": ["--perm", "12", "--i", "1", "--j", "1"],
+    "classify": ["--k", "3", "--n-max", "4"],
+    "table": ["--id", "T1"],
+    "verify": ["--check", "extremes", "--max-side", "2"],
+    "scan": ["--n-max", "3", "--shape-side", "2", "--k-max", "2"],
+}
+
+# Each option, and the subcommands that read it.
+OPTIONS = {
+    "none": ([], set(MINIMAL)),
+    "json": (["--format", "json"], set(MINIMAL)),
+    "csv": (["--format", "csv"], {"count", "classify", "table"}),
+    "cache": (["--cache", "STORE"], {"count", "classify", "table"}),
+    "jobs": (["--jobs", "1"], {"classify", "table"}),
+}
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_each_option_is_taken_only_where_it_is_read(command, option, tmp_path, capsys):
+    extra, readers = OPTIONS[option]
+    extra = [str(tmp_path / "store") if arg == "STORE" else arg for arg in extra]
+    code = run([command, *MINIMAL[command], *extra, "--no-timing"])
+    out, err = out_of(capsys)
+    if command in readers:
+        assert code == 0 and out
+    else:
+        assert code == 2 and out == ""
+        assert err
+
+
+def test_verify_csv_is_refused_before_any_sweep(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(checks, "run_checks", no_sweep)
+    assert run(["verify", "--format", "csv"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and "invalid choice: 'csv'" in err
+
+
 def test_verify_subset(capsys):
     assert run(["verify", "--check", "toprow", "--max-side", "4", "--no-timing"]) == 0
     out, _ = out_of(capsys)
     assert "FAIL" not in out
     assert run(["verify", "--check", "bogus", "--no-timing"]) == 2
+    # toprow takes only --max-side; other limits are refused, not dropped
+    for limit in ("--n-max", "--k-max"):
+        assert run(["verify", "--check", "toprow", limit, "99", "--no-timing"]) == 2
+        out, err = out_of(capsys)
+        assert out == "" and "taken by none of the chosen checks" in err
 
 
 def test_scan_exits_zero(capsys):

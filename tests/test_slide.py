@@ -1,5 +1,9 @@
 """The window slide: cases, round trips, and the frame statistics."""
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpat import boards, slide
 from invpat.boards import graph_of, make_placement, symmetric_full_placements
@@ -167,6 +171,42 @@ def test_slide_round_trip_sweep():
                 assert len(set(sent)) == len(domain)
                 for p, q in zip(domain, sent):
                     assert slide_inverse(q, i, j) == p
+
+
+# Self-conjugate shapes of side 8..10 with two or more full-height columns
+# that contain the staircase, and so admit a full placement; the one avoiding
+# 21 is symmetric and avoids 321.
+SHAPES_OF_SIDE_8_TO_10 = sorted(
+    s
+    for s in boards.enumerate_self_conjugate_shapes(10)
+    if len(s) >= 8
+    and s[-1] >= 2
+    and all(part >= len(s) - k for k, part in enumerate(s))
+)
+
+
+@cache
+def _slide_domain(shape: boards.Shape) -> list[boards.Placement]:
+    return boards.avoiding(symmetric_full_placements(shape), [(3, 2, 1)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SHAPES_OF_SIDE_8_TO_10), st.data())
+def test_slide_round_trips_past_the_exhaustive_sides(shape, data):
+    # The exhaustive sweeps stop at side 7.  Several placements per shape
+    # share the cost of listing its domain.
+    domain = _slide_domain(shape)
+    for p in data.draw(st.lists(st.sampled_from(domain), min_size=1, max_size=6)):
+        windows = [
+            (i, j)
+            for i in range(1, shape[-1])
+            for j in range(1, shape[-1] - i + 1)
+            if not boards.placement_contains(p, (2, 1), columns=range(i, i + j))
+        ]
+        i, j = data.draw(st.sampled_from(windows))  # one column never holds a 21
+        q = slide_transform(p, i, j)
+        assert slide_inverse(q, i, j) == p
+        assert not boards.placement_contains(q, (2, 1), columns=range(i + 1, i + j + 1))
 
 
 def test_slide_inverse_validates_input():
