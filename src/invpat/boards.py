@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from operator import lt
 from typing import Iterator
 
 from .errors import InvalidPlacementError, InvalidShapeError
@@ -24,9 +25,9 @@ Box = tuple[int, int]
 def validate_shape(parts) -> Shape:
     """Return parts as a tuple after checking weak decrease and positivity."""
     shape = tuple(parts)
-    if any(p < 1 for p in shape):
+    if min(shape, default=1) < 1:
         raise InvalidShapeError(f"parts must be positive: {shape}")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+    if any(map(lt, shape, shape[1:])):
         raise InvalidShapeError(f"parts must weakly decrease: {shape}")
     return shape
 

@@ -406,6 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k-max", type=int, default=4)
     s.set_defaults(handler=cmd_scan)
 
+    # run() refuses an option the chosen subcommand lacks through its parser
+    for sub in subs.choices.values():
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -413,7 +416,9 @@ def run(argv) -> int:
     """Parse argv, execute, and print; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args, unknown = parser.parse_known_args(list(argv))
+        if unknown:  # reported with the subcommand's usage line, not the top one
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -8,6 +8,7 @@ has the same relative order.
 from __future__ import annotations
 
 from functools import cache
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, InvalidWordError
@@ -140,6 +141,32 @@ def _trie(unit: tuple[Perm, ...]) -> _Node:
     return root
 
 
+def _reads(root: _Node, board: bool) -> dict[_Node, dict[int, set[str]]]:
+    # For each node of the trie, how the loops under it read each earlier
+    # value: "<" where a later value must exceed it, or where a later dot
+    # must fit under the box in its row, so that a smaller value can only
+    # help; ">" where a later value must stay below it.
+    found: dict[_Node, dict[int, set[str]]] = {}
+
+    def visit(node: _Node) -> dict[int, set[str]]:
+        reads: dict[int, set[str]] = {}
+        for child in node.children.values():
+            e, sigma = child.d, child.sigma
+            lo, hi = _pattern_links(sigma)[e]
+            top = max(range(e + 1), key=sigma.__getitem__)
+            boxed = top if board and top != e else None
+            for earlier, way in ((lo, "<"), (hi, ">"), (boxed, "<")):
+                if earlier is not None:
+                    reads.setdefault(earlier, set()).add(way)
+            for earlier, ways in visit(child).items():
+                reads.setdefault(earlier, set()).update(ways)
+        found[node] = reads
+        return reads
+
+    visit(root)
+    return found
+
+
 def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # One nested `for` per node of the trie of standardised prefixes, so the
     # patterns of the unit share the loops of their common prefixes.  The
@@ -159,13 +186,28 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # pass and is left out, which leaves plain nested loops returning 1 or
     # 0.  The source holds only integer literals and fixed names, no caller
     # text.
+    #
+    # Two rules skip candidates whose subtree can only find a subset of
+    # what a subtree already searched has found; the mask only grows, so
+    # skipping them changes no result.  A later candidate of a loop has
+    # fewer positions after it, so:
+    # - if the loops below read v<d> only as "<" (see _reads), a candidate
+    #   above the least value searched under the same parent is skipped:
+    #   m<d> holds that value and caps v<d> in the loop's own test.  Read
+    #   only as ">", m<d> is the largest and a floor.  Not read at all, the
+    #   loop breaks after the first candidate that passes its own tests.
+    # - if the loops below read no value chosen above depth d, what they
+    #   find depends on i<d> alone, and seen<d> (one per call) skips a
+    #   position searched under another parent.
     head = "seq, shape" if board else "seq"
     full = (1 << len(unit)) - 1
     chained = len(set(unit)) == 1
     if not chained and max(map(len, unit)) > _LEVELS_PER_FUNCTION:
         raise ValueError(f"a pattern longer than {_LEVELS_PER_FUNCTION} needs a unit of its own")
     root = _trie(unit)
+    reads_under = _reads(root, board)
     functions = []
+    seen: list[str] = []  # the per-call position sets, one per node using one
 
     def carried(sigma: Perm, k: int) -> str:
         # values chosen before level k that level k or a later one reads
@@ -196,28 +238,54 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
             else:
                 lines.append(f"{pad}if mask & {child.bits} != {child.bits}:")
                 lines += loop(child, pad + "    ")
-        if node.children and node.bits != full:
-            lines += [f"{pad}if mask & {node.bits} == {node.bits}:", f"{pad}    break"]
         return lines
 
     def loop(node: _Node, pad: str) -> list[str]:
         d, sigma = node.d, node.sigma
+        reads = reads_under[node]
+        lo, hi = _pattern_links(sigma)[d]
+        low = None if lo is None else f"v{lo}"
+        high = None if hi is None else f"v{hi}"
+        lines = []
+        if reads.get(d) == {"<"}:
+            lines.append(f"{pad}m{d} = {high or 'inf'}")
+            high = f"m{d}"
+        elif reads.get(d) == {">"}:
+            lines.append(f"{pad}m{d} = {low or '-inf'}")
+            low = f"m{d}"
         start = f"i{d - 1} + 1" if d else "0"
         stop = f"n - {node.rest}" if node.rest else "n"
-        lines = [f"{pad}for i{d} in range({start}, {stop}):"]
+        lines.append(f"{pad}for i{d} in range({start}, {stop}):")
         pad += "    "
         lines.append(f"{pad}{f'x{d}, ' if board else ''}v{d} = seq[i{d}]")
-        lo, hi = _pattern_links(sigma)[d]
-        if lo is not None or hi is not None:
-            low = f"v{lo} < " if lo is not None else ""
-            high = f" < v{hi}" if hi is not None else ""
-            lines += [f"{pad}if not {low}v{d}{high}:", f"{pad}    continue"]
+        if low or high:
+            bounds = " < ".join(b for b in (low, f"v{d}", high) if b)
+            lines += [f"{pad}if not {bounds}:", f"{pad}    continue"]
         top = max(range(d + 1), key=sigma.__getitem__)
         if board and top != d:
             lines += [f"{pad}if x{d} > shape[v{top} - 1]:", f"{pad}    continue"]
+        if f"m{d}" in (low, high):
+            lines.append(f"{pad}m{d} = v{d}")
         if node.leaf:
             lines += leaf(node, pad)
-        return lines + children(node, pad)
+        if not node.children:
+            return lines
+        unread = d not in reads
+        # the sets are made in match, so not for a loop in a chained function
+        if 0 < d < _LEVELS_PER_FUNCTION and min(reads) >= d:
+            name = f"seen{d}" if f"seen{d}" not in seen else f"seen{d}_{len(seen)}"
+            seen.append(name)
+            lines += [
+                f"{pad}if {name}[i{d}]:",
+                f"{pad}    {'break' if unread else 'continue'}",
+                f"{pad}{name}[i{d}] = 1",
+            ]
+        lines += children(node, pad)
+        if unread:
+            lines.append(f"{pad}break")
+        elif node.bits != full:
+            lines += [f"{pad}if mask & {node.bits} == {node.bits}:", f"{pad}    break"]
+        return lines
 
     if root.leaf == full:  # every pattern is empty
         body = [f"    return {full}"]
@@ -225,7 +293,8 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         body = ["    n = len(seq)"]
         if not chained:
             body.append(f"    mask = {root.leaf}")
-        body += children(root, "    ")
+        loops = children(root, "    ")
+        body += [f"    {name} = [0] * n" for name in seen] + loops
         body.append("    return mask" if not chained else "    return 0")
     lines = [f"def match({head}):", *body]
     for function in functions:
@@ -241,7 +310,7 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
     The word form is called as match(seq); the board form as
     match(dots, shape) with dots sorted by column.
     """
-    namespace: dict = {}
+    namespace: dict = {"inf": inf}
     source = _matcher_source(unit, board)
     lengths = ",".join(str(len(sigma)) for sigma in unit)
     exec(compile(source, f"<matcher m={lengths}>", "exec"), namespace)

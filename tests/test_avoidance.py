@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invpat import avoidance
 from invpat.avoidance import (
     CountStore,
     _avoider_counts,
@@ -61,6 +62,18 @@ def test_hook_length_sum_matches_count_avoiders():
         increasing = tuple(range(1, k + 1))
         for n in range(11):
             assert hook_length_sum(n, k) == count_avoiders(n, [increasing])
+
+
+def test_monotone_counts_at_n_11_match_the_hook_length_sum(monkeypatch):
+    # the matchers of 12...k and k...1 skip the most subtrees: every level
+    # keeps a running bound and every inner one a set of positions searched;
+    # n = 11 is past what the brute-force tests reach.  An empty memo makes
+    # count_avoiders search.
+    monkeypatch.setattr(avoidance, "_known", {})
+    for k in (4, 5, 6):
+        want = hook_length_sum(11, k)
+        assert count_avoiders(11, [tuple(range(1, k + 1))]) == want
+        assert count_avoiders(11, [tuple(range(k, 0, -1))]) == want
 
 
 @pytest.mark.parametrize("k", [4, 5])

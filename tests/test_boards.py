@@ -39,10 +39,15 @@ from invpat.boards import (
 def test_validate_shape():
     assert validate_shape([3, 3, 2]) == (3, 3, 2)
     assert validate_shape(()) == ()
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match="weakly decrease"):
         validate_shape((2, 3))
-    with pytest.raises(InvalidShapeError):
+    with pytest.raises(InvalidShapeError, match="positive"):
         validate_shape((3, 0))
+    # positivity is checked first
+    with pytest.raises(InvalidShapeError, match="positive"):
+        validate_shape((0, 3))
+    with pytest.raises(InvalidShapeError, match="weakly decrease"):
+        validate_shape((1, 2, 1))
 
 
 def test_conjugate_is_involutive():
@@ -190,6 +195,18 @@ def test_board_kernel_matches_brute_force(p, sigma, data):
     )
     expected = naive_placement_contains(p, sigma, columns)
     assert placement_contains(p, sigma, columns=columns) == expected
+
+
+def test_board_kernel_matches_brute_force_on_every_small_shape():
+    # off the square the box tests can fail, so the matcher's pruning must
+    # treat the row of a later box as a bound that a smaller value relaxes
+    pats = [p for k in range(1, 5) for p in permutations(range(1, k + 1))]
+    for shape in SHAPES:
+        if shape and shape[-1] < shape[0]:
+            pool = boards.symmetric_full_placements(shape)
+            for sigma in pats:
+                want = [p for p in pool if not naive_placement_contains(p, sigma)]
+                assert avoiding(pool, [sigma]) == want, (shape, sigma)
 
 
 # patterns of length 0 or 1 lie in every nonempty placement, so a set

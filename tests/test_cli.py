@@ -193,7 +193,15 @@ def test_each_option_is_taken_only_where_it_is_read(command, option, tmp_path, c
         assert code == 0 and out
     else:
         assert code == 2 and out == ""
-        assert err
+        assert err.startswith(f"usage: invpat {command} ")
+
+
+def test_a_refused_option_is_reported_by_its_subcommand(capsys):
+    assert run(["shapes", "--max-side", "2", "--jobs", "4"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("usage: invpat shapes [-h] ")
+    assert err.endswith("invpat shapes: error: unrecognized arguments: --jobs 4\n")
 
 
 def test_verify_csv_is_refused_before_any_sweep(monkeypatch, capsys):

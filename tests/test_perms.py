@@ -1,4 +1,5 @@
 """Permutations, patterns, and containment against a naive oracle."""
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -155,6 +156,59 @@ def test_only_a_one_pattern_unit_may_pass_the_nesting_limit():
     assert perms._matcher((long,))(tuple(range(1, 19))) == 1
     with pytest.raises(ValueError, match="unit of its own"):
         perms._matcher((long, (2, 1)))
+
+
+# every pattern of length <= 5 as a unit of its own, and the patterns of
+# length 3..5 dealt into eight units of mixed lengths and kinds of level
+SMALL = [p for k in range(6) for p in permutations(range(1, k + 1))]
+UNITS = [(sigma,) for sigma in SMALL] + [tuple(SMALL[10 + i :: 8]) for i in range(8)]
+
+
+def level_kinds(unit):
+    # for each inner node of the unit's trie: how the loops under it read
+    # its own value ("<", ">", "<>" or "unread"), and whether they read a
+    # value chosen above it ("carried") or not ("fresh")
+    kinds = set()
+    for node, reads in perms._reads(perms._trie(unit), False).items():
+        if node.d >= 0 and node.children:
+            kinds.add("".join(sorted(reads.get(node.d, {"unread"}))))
+            kinds.add("fresh" if node.d and min(reads) >= node.d else "carried")
+    return kinds
+
+
+def test_the_mixed_units_hold_every_kind_of_level():
+    kinds = [level_kinds(unit) for unit in UNITS[-8:]]
+    assert all(len(k & {"<", ">", "<>", "unread"}) >= 2 for k in kinds)
+    assert set().union(*kinds) == {"<", ">", "<>", "unread", "fresh", "carried"}
+
+
+@cache
+def small_involutions_and_masks():
+    # every involution of n <= 8, with the bits of UNITS' patterns that
+    # naive_contains finds in it: each pattern of length <= 5 in pi lies
+    # in some subsequence of length min(5, n)
+    pis = [pi for n in range(9) for pi in involution_list(n)]
+    bit = {sigma: 1 << j for j, sigma in enumerate(SMALL)}
+    inside = cache(lambda p: sum(bit[s] for s in SMALL if naive_contains(p, s)))
+    found = [0] * len(pis)
+    for i, pi in enumerate(pis):
+        for c in combinations(pi, min(5, len(pi))):
+            found[i] |= inside(pattern_of(c))
+    return pis, found
+
+
+@pytest.mark.parametrize("board", [False, True], ids=["word", "board"])
+def test_compiled_units_match_naive_contains_on_every_small_involution(board):
+    pis, found = small_involutions_and_masks()
+    if board:  # on the square the board form finds the same patterns
+        args = [[list(enumerate(pi, 1)) for pi in pis], [(len(pi),) * len(pi) for pi in pis]]
+    else:
+        args = [pis]
+    for unit in UNITS:
+        match = perms._matcher(unit, board)
+        bits = [SMALL.index(sigma) for sigma in unit]
+        want = [sum((f >> b & 1) << j for j, b in enumerate(bits)) for f in found]
+        assert list(map(match, *args)) == want, unit
 
 
 def test_involution_counts_match_known_sequence():
