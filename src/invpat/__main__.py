@@ -1,0 +1,6 @@
+"""python -m invpat: the command-line interface."""
+import sys
+
+from .cli import main
+
+sys.exit(main())

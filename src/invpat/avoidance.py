@@ -19,10 +19,12 @@ from .perms import (
     _LEVELS_PER_FUNCTION,
     Perm,
     _matcher,
+    _rc_orbits,
     involution_list,
     pattern_of,
     perm_from_text,
     perm_to_text,
+    reversed_complement,
 )
 
 PatternSet = frozenset[Perm]
@@ -43,14 +45,17 @@ def pattern_set_key(patterns: PatternSet) -> str:
     return ";".join(sorted(perm_to_text(p) for p in sorted(patterns)))
 
 
-def _avoiding_involutions(n: int, patterns) -> Sequence[Perm]:
+def _avoiding(found: Sequence[Perm], patterns) -> Sequence[Perm]:
     # cheapest check first; each pattern sees only the survivors of the
     # shorter ones, so every involution meets the same matchers as in a
     # nested loop that stops at the first match
-    found = involution_list(n)
     for sigma in sorted(patterns, key=len):
         found = list(filterfalse(_matcher((sigma,)), found))
     return found
+
+
+def _avoiding_involutions(n: int, patterns) -> Sequence[Perm]:
+    return _avoiding(involution_list(n), patterns)
 
 
 def _avoider_counts(
@@ -86,9 +91,17 @@ _known: dict[tuple[int, PatternSet], int] = {}
 
 
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
+    # pi contains sigma iff reversed_complement(pi) contains the image of
+    # sigma, so when the set is its own image both members of an orbit
+    # {pi, reversed_complement(pi)} avoid it or neither does
     count = _known.get((n, patterns))
     if count is None:
-        count = _known[n, patterns] = len(_avoiding_involutions(n, patterns))
+        if set(map(reversed_complement, patterns)) == patterns:
+            pairs, fixed = _rc_orbits(n)
+            count = 2 * len(_avoiding(pairs, patterns)) + len(_avoiding(fixed, patterns))
+        else:
+            count = len(_avoiding_involutions(n, patterns))
+        _known[n, patterns] = count
     return count
 
 

@@ -409,14 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     # run() refuses an option the chosen subcommand lacks through its parser
     for sub in subs.choices.values():
         sub.set_defaults(parser=sub)
+    parser.commands = subs.choices
     return parser
 
 
 def run(argv) -> int:
     """Parse argv, execute, and print; returns the process exit code."""
     parser = build_parser()
+    argv = list(argv)
     try:
-        args, unknown = parser.parse_known_args(list(argv))
+        # the top-level parser takes only -h and --version (or a prefix of
+        # them), and would read any other option's value as the subcommand
+        option = argv[0].partition("=")[0] if argv else ""
+        top = ("-h", "--help", "--version")
+        if option.startswith("-") and not any(name.startswith(option) for name in top):
+            command = next((arg for arg in argv if arg in parser.commands), None)
+            where = f" {command}" if command else ""
+            parser.error(f"{option} is placed before the subcommand{where}; options go after it")
+        args, unknown = parser.parse_known_args(argv)
         if unknown:  # reported with the subcommand's usage line, not the top one
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:

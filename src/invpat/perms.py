@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import inf
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, InvalidWordError
 
@@ -176,7 +176,9 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # (x, y) dots and also demands that the box at (x<d>, largest y so far)
     # exists; that y is the value at the position of the largest of the
     # prefix, so it is known here, and when it is v<d> itself the box is the
-    # dot's own and needs no test.
+    # dot's own and needs no test.  The dots are sorted by column, so every
+    # later candidate of a loop whose box test fails fails it too, and the
+    # loop breaks.
     #
     # match returns a mask whose bit j is set iff unit[j] occurs.  A node
     # where patterns end sets their bits, and breaks its loop if no longer
@@ -263,7 +265,7 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
             lines += [f"{pad}if not {bounds}:", f"{pad}    continue"]
         top = max(range(d + 1), key=sigma.__getitem__)
         if board and top != d:
-            lines += [f"{pad}if x{d} > shape[v{top} - 1]:", f"{pad}    continue"]
+            lines += [f"{pad}if x{d} > shape[v{top} - 1]:", f"{pad}    break"]
         if f"m{d}" in (low, high):
             lines.append(f"{pad}m{d} = v{d}")
         if node.leaf:
@@ -382,15 +384,52 @@ def involutions(n: int) -> Iterator[Perm]:
 _INVOLUTION_LIST_MAX_N = 13
 
 
+def _rc_image(n: int) -> Callable[[Perm], Perm]:
+    # reversed_complement on permutations of [n] as a C-level byte
+    # translation; entries up to the involution list limit fit in a byte
+    table = bytes(range(n + 1, 0, -1)).ljust(256, b"\0")
+    return lambda pi: tuple(bytes(pi).translate(table)[::-1])
+
+
 @cache
-def involution_list(n: int) -> tuple[Perm, ...]:
-    """All involutions of [n], cached (35,696 of them at n = 11); n above
-    13 raises InvalidInputError before anything is enumerated."""
+def _rc_orbits(n: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    """The involutions of [n] by reversed-complement orbit, as (pairs,
+    fixed): the smaller member of each orbit of two and every involution
+    that reversed_complement fixes.  Each is met once in involutions(n), and
+    the larger members are dropped as they come.  n above 13 raises
+    InvalidInputError before anything is enumerated.
+
+    >>> _rc_orbits(3)
+    (((1, 3, 2),), ((1, 2, 3), (3, 2, 1)))
+    """
     if n > _INVOLUTION_LIST_MAX_N:
         raise InvalidInputError(
             f"n = {n} is above the involution list limit of {_INVOLUTION_LIST_MAX_N}"
         )
-    return tuple(involutions(n))
+    image_of = _rc_image(n)
+    pairs, fixed = [], []
+    for pi in involutions(n):
+        # the image starts with n + 1 - pi[-1], which mostly settles the order
+        ends = pi[0] + pi[-1] if pi else n + 1
+        if ends <= n:
+            pairs.append(pi)
+        elif ends == n + 1:
+            image = image_of(pi)
+            if pi < image:
+                pairs.append(pi)
+            elif pi == image:
+                fixed.append(pi)
+    return tuple(pairs), tuple(fixed)
+
+
+@cache
+def involution_list(n: int) -> tuple[Perm, ...]:
+    """All involutions of [n], cached (35,696 of them at n = 11): the pairs
+    of _rc_orbits(n), its fixed involutions, then the images of the pairs,
+    so each tuple is shared with _rc_orbits.  n above 13 raises
+    InvalidInputError before anything is enumerated."""
+    pairs, fixed = _rc_orbits(n)
+    return (*pairs, *fixed, *map(_rc_image(n), pairs))
 
 
 def perm_to_text(pi: Perm) -> str:

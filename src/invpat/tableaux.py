@@ -23,7 +23,12 @@ def tableau_shape(t: Tableau) -> tuple[int, ...]:
 
 
 def is_standard(t: Tableau) -> bool:
-    """Check strict row/column increase and entries 1..n each once."""
+    """Check strict row/column increase and entries 1..n each once.
+
+    This checks the filling only, so trailing empty rows pass (rows weakly
+    shorten, so an empty row can only come last); validate_tableau adds the
+    rule that no row is empty.
+    """
     lengths = list(map(len, t))
     if lengths != sorted(lengths, reverse=True):
         return False

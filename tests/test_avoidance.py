@@ -1,5 +1,5 @@
 """Counting avoiders: brute force, closed forms, and the memo store."""
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from invpat import avoidance
 from invpat.avoidance import (
     CountStore,
     _avoider_counts,
+    _avoiding_involutions,
     closed_form_123,
     closed_form_231,
     closed_form_1234,
@@ -24,7 +25,7 @@ from invpat.avoidance import (
 )
 from invpat.classify import symmetry_classes
 from invpat.errors import InvalidInputError, InvalidShapeError
-from invpat.perms import involutions, pattern_of
+from invpat.perms import involutions, pattern_of, reversed_complement
 
 
 def test_pattern_set_normalizes_and_rejects_empty():
@@ -57,23 +58,41 @@ def test_single_pattern_counts_match_closed_forms():
         assert count_avoiders(n, ["123456"]) == closed_form_123456(n)
 
 
-def test_hook_length_sum_matches_count_avoiders():
+def test_hook_length_sum_matches_count_avoiders(monkeypatch):
+    # an empty memo makes count_avoiders search
+    monkeypatch.setattr(avoidance, "_known", {})
     for k in range(1, 7):
         increasing = tuple(range(1, k + 1))
         for n in range(11):
             assert hook_length_sum(n, k) == count_avoiders(n, [increasing])
 
 
-def test_monotone_counts_at_n_11_match_the_hook_length_sum(monkeypatch):
+@pytest.mark.parametrize("n", [11, 12])
+def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
     # the matchers of 12...k and k...1 skip the most subtrees: every level
     # keeps a running bound and every inner one a set of positions searched;
-    # n = 11 is past what the brute-force tests reach.  An empty memo makes
-    # count_avoiders search.
+    # both sets are their own reversed complement, so only one member of
+    # each orbit is searched.  n = 11 and 12 are past what the brute-force
+    # tests reach.
     monkeypatch.setattr(avoidance, "_known", {})
     for k in (4, 5, 6):
-        want = hook_length_sum(11, k)
-        assert count_avoiders(11, [tuple(range(1, k + 1))]) == want
-        assert count_avoiders(11, [tuple(range(k, 0, -1))]) == want
+        want = hook_length_sum(n, k)
+        assert count_avoiders(n, [tuple(range(1, k + 1))]) == want
+        assert count_avoiders(n, [tuple(range(k, 0, -1))]) == want
+
+
+# S_5 stops at n = 8: its 176 sets at n <= 10 take about 18 s
+@pytest.mark.parametrize("k, n_max", [(3, 10), (4, 10), (5, 8)])
+def test_orbit_counts_match_the_full_scan(k, n_max, monkeypatch):
+    # a set that is its own reversed complement is counted over one member
+    # of each orbit; every other set over every involution
+    monkeypatch.setattr(avoidance, "_known", {})
+    singletons = [{sigma} for sigma in permutations(range(1, k + 1))]
+    pairs = {frozenset({sigma, reversed_complement(sigma)}) for (sigma,) in singletons}
+    for n in range(n_max + 1):
+        for patterns in singletons + [p for p in pairs if len(p) == 2]:
+            want = len(_avoiding_involutions(n, patterns))
+            assert count_avoiders(n, patterns) == want, (n, patterns)
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -204,6 +204,19 @@ def test_a_refused_option_is_reported_by_its_subcommand(capsys):
     assert err.endswith("invpat shapes: error: unrecognized arguments: --jobs 4\n")
 
 
+@pytest.mark.parametrize("first", ["--jobs", "--jobs=4"])
+def test_an_option_before_the_subcommand_is_named(first, capsys):
+    argv = [first, *(["4"] if first == "--jobs" else []), "shapes", "--max-side", "2"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("usage: invpat ")
+    assert err.endswith(
+        "invpat: error: --jobs is placed before the subcommand shapes;"
+        " options go after it\n"
+    )
+
+
 def test_verify_csv_is_refused_before_any_sweep(monkeypatch, capsys):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")

@@ -272,3 +272,19 @@ def test_involution_list_refuses_n_past_its_limit(monkeypatch):
     for n in (14, 16):
         with pytest.raises(InvalidInputError, match="limit of 13"):
             involution_list(n)
+        with pytest.raises(InvalidInputError, match="limit of 13"):
+            perms._rc_orbits(n)
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_rc_orbits_partition_the_involution_list(n):
+    pairs, fixed = perms._rc_orbits(n)
+    images = [reversed_complement(pi) for pi in pairs]
+    assert all(pi < image for pi, image in zip(pairs, images))
+    assert all(reversed_complement(pi) == pi for pi in fixed)
+    parts = [*pairs, *fixed, *images]
+    assert len(set(parts)) == len(parts)  # disjoint, no repeats within a part
+    assert sorted(parts) == sorted(involutions(n))
+    # the list is the three parts in order, sharing the orbit tuples
+    assert involution_list(n) == tuple(parts)
+    assert all(a is b for a, b in zip(involution_list(n), pairs + fixed))
