@@ -18,9 +18,9 @@ from .errors import InvalidInputError
 from .perms import (
     _LEVELS_PER_FUNCTION,
     Perm,
+    _involution_rows,
     _matcher,
     _rc_orbits,
-    involution_list,
     pattern_of,
     perm_from_text,
     perm_to_text,
@@ -45,7 +45,7 @@ def pattern_set_key(patterns: PatternSet) -> str:
     return ";".join(sorted(perm_to_text(p) for p in sorted(patterns)))
 
 
-def _avoiding(found: Sequence[Perm], patterns) -> Sequence[Perm]:
+def _avoiding(found: Sequence[bytes], patterns) -> Sequence[bytes]:
     # cheapest check first; each pattern sees only the survivors of the
     # shorter ones, so every involution meets the same matchers as in a
     # nested loop that stops at the first match
@@ -54,14 +54,22 @@ def _avoiding(found: Sequence[Perm], patterns) -> Sequence[Perm]:
     return found
 
 
-def _avoiding_involutions(n: int, patterns) -> Sequence[Perm]:
-    return _avoiding(involution_list(n), patterns)
+def _avoiding_involutions(n: int, patterns) -> Sequence[bytes]:
+    # the involutions of [n] avoiding the set, as rows (see perms)
+    return _avoiding(_involution_rows(n), patterns)
+
+
+# the rows that _avoider_counts turns into tuples at a time: a matcher reads
+# its row as a tuple, so a chunk is converted once for all the units rather
+# than once a unit, and the rows are never all held as tuples
+_CHUNK = 4096
 
 
 def _avoider_counts(
     n: int, patterns: Sequence[Perm], start: int = 0, step: int = 1
 ) -> list[int]:
-    """For each pattern, how many of involution_list(n)[start::step] avoid it.
+    """For each pattern, how many of the involution rows of [n] avoid it,
+    taking every step-th row from start (perms._involution_rows).
 
     The patterns are matched in units: those that agree on the standardised
     prefix of all but their last two entries share one compiled matcher,
@@ -70,15 +78,20 @@ def _avoider_counts(
     counts the masks its matcher returns, and each mask counts against every
     pattern whose bit it has.
     """
-    share = involution_list(n)[start::step]
+    share = _involution_rows(n)[start::step]
     units: dict = {}
     for j, sigma in enumerate(patterns):
         key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
         units.setdefault(key, []).append(j)
+    matchers = [_matcher(tuple(patterns[j] for j in members)) for members in units.values()]
+    masks = [Counter() for _ in matchers]
+    for at in range(0, len(share), _CHUNK):
+        chunk = [*map(tuple, share[at : at + _CHUNK])]
+        for match, found in zip(matchers, masks):
+            found.update(map(match, chunk))
     avoiders = [len(share)] * len(patterns)
-    for members in units.values():
-        match = _matcher(tuple(patterns[j] for j in members))
-        for mask, count in Counter(map(match, share)).items():
+    for members, found in zip(units.values(), masks):
+        for mask, count in found.items():
             for bit, j in enumerate(members):
                 if mask >> bit & 1:
                     avoiders[j] -= count

@@ -207,7 +207,7 @@ def enumerate_symmetric_full_placements(shape: Shape) -> Iterator[Placement]:
     """Yield every symmetric full placement on a self-conjugate shape.
 
     Each one is the graph of an involution that pairs t with u only where
-    box (u, t) lies in the shape, built by the same pairing recursion as
+    box (u, t) lies in the shape, built by the same pairing walk as
     perms.involutions.  Output order is deterministic.
 
     >>> sum(1 for _ in enumerate_symmetric_full_placements((3, 3, 3)))

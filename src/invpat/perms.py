@@ -293,6 +293,8 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         body = [f"    return {full}"]
     else:
         body = ["    n = len(seq)"]
+        if not board:  # CPython specialises indexing a tuple, not bytes
+            body.insert(0, "    seq = tuple(seq)")
         if not chained:
             body.append(f"    mask = {root.leaf}")
         loops = children(root, "    ")
@@ -309,8 +311,9 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
     """The compiled containment test for a unit of patterns, built on first
     use; its result has bit j set iff unit[j] occurs.
 
-    The word form is called as match(seq); the board form as
-    match(dots, shape) with dots sorted by column.
+    The word form is called as match(seq), seq any sequence of distinct
+    integers (the involution rows are bytes), which it reads as a tuple;
+    the board form as match(dots, shape) with dots sorted by column.
     """
     namespace: dict = {"inf": inf}
     source = _matcher_source(unit, board)
@@ -339,36 +342,55 @@ def avoids(pi: Sequence[int], sigma: Perm) -> bool:
     return not contains(pi, sigma)
 
 
-def _pairings(reach: Sequence[int]) -> Iterator[Perm]:
-    """Yield each involution pi of [len(reach)] with pi[t - 1] <= reach[t - 1]
-    for every t, where reach is a self-conjugate shape: on the n x n square
-    these are all involutions of [n], on a shape its symmetric full
-    placements.
+def _pairings(reach: Sequence[int], make: Callable = tuple) -> Iterator:
+    """Yield make(pi) for each involution pi of [len(reach)] with
+    pi[t - 1] <= reach[t - 1] for every t, where reach is a self-conjugate
+    shape: on the n x n square these are all involutions of [n], on a shape
+    its symmetric full placements.
 
     The least free index t is tried as a fixed point, then paired with each
     later free u in increasing order, stopping at the first u past
-    reach[t - 1]; self-conjugacy gives t <= reach[u - 1] for free.
+    reach[t - 1]; self-conjugacy gives t <= reach[u - 1] for free.  The walk
+    keeps one explicit stack of levels over a linked list of the free
+    indices, so each involution costs a few list operations and no chain of
+    nested generators.
     """
-    mapping = [0] * len(reach)
-
-    def extend(free: tuple[int, ...]) -> Iterator[Perm]:
-        if not free:
-            yield tuple(mapping)
-            return
-        t = free[0]
-        bound = reach[t - 1]
-        if t <= bound:
-            mapping[t - 1] = t
-            yield from extend(free[1:])
-        for idx in range(1, len(free)):
-            u = free[idx]
-            if u > bound:
+    n = len(reach)
+    # entries fit a byte up to 255, and bytes(pi) is then a plain copy
+    mapping = bytearray(n) if n < 256 else [0] * n
+    # the free indices, linked in increasing order from 0: nxt[i] is the
+    # next one after i, and n + 1 ends the list
+    nxt = [*range(1, n + 2)]
+    # one (t, p, u) per open level: t is paired with u, the free index after
+    # p; u is 0 while t is fixed or before its first partner, which follows 0
+    levels = []
+    while True:
+        t = nxt[0]
+        while t <= n:  # open a level at the least free index, t fixed
+            nxt[0] = nxt[t]
+            levels.append((t, 0, 0))
+            if t > reach[t - 1]:  # it cannot be: go to its first partner
                 break
-            mapping[t - 1] = u
-            mapping[u - 1] = t
-            yield from extend(free[1:idx] + free[idx + 1 :])
-
-    yield from extend(tuple(range(1, len(reach) + 1)))
+            mapping[t - 1] = t
+            t = nxt[0]
+        else:
+            yield make(mapping)
+        # move the deepest level that has another partner on to it
+        while levels:
+            t, p, u = levels.pop()
+            if u:
+                nxt[p] = u
+                p = u
+            u = nxt[p]
+            if u <= reach[t - 1]:
+                mapping[t - 1] = u
+                mapping[u - 1] = t
+                nxt[p] = nxt[u]
+                levels.append((t, p, u))
+                break
+            nxt[0] = t  # t was the least free index
+        else:
+            return
 
 
 def involutions(n: int) -> Iterator[Perm]:
@@ -377,30 +399,32 @@ def involutions(n: int) -> Iterator[Perm]:
     >>> sorted(involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-    yield from _pairings((n,) * n)
+    return _pairings((n,) * n)
 
 
-# involution_list holds them all at once: 568,504 tuples at 13, 46 M at 16
+# The stores below hold each involution of [n] as a row, bytes whose entries
+# fit up to the limit: 46 B at 13 where a tuple takes 160.  All 568,504 rows
+# of 13 hold 31 MiB, the orbits alone 15 MiB; the 2,390,480 of 14 would
+# need about four times as much.
 _INVOLUTION_LIST_MAX_N = 13
 
 
-def _rc_image(n: int) -> Callable[[Perm], Perm]:
-    # reversed_complement on permutations of [n] as a C-level byte
-    # translation; entries up to the involution list limit fit in a byte
+def _rc_image(n: int) -> Callable[[bytes], bytes]:
+    # reversed_complement on rows of [n] as a C-level byte translation
     table = bytes(range(n + 1, 0, -1)).ljust(256, b"\0")
-    return lambda pi: tuple(bytes(pi).translate(table)[::-1])
+    return lambda row: row.translate(table)[::-1]
 
 
 @cache
-def _rc_orbits(n: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    """The involutions of [n] by reversed-complement orbit, as (pairs,
+def _rc_orbits(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The involutions of [n] by reversed-complement orbit, as rows (pairs,
     fixed): the smaller member of each orbit of two and every involution
-    that reversed_complement fixes.  Each is met once in involutions(n), and
-    the larger members are dropped as they come.  n above 13 raises
+    that reversed_complement fixes.  Each is met once in the pairing walk,
+    and the larger members are dropped as they come.  n above 13 raises
     InvalidInputError before anything is enumerated.
 
-    >>> _rc_orbits(3)
-    (((1, 3, 2),), ((1, 2, 3), (3, 2, 1)))
+    >>> [[tuple(row) for row in part] for part in _rc_orbits(3)]
+    [[(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]]
     """
     if n > _INVOLUTION_LIST_MAX_N:
         raise InvalidInputError(
@@ -408,28 +432,35 @@ def _rc_orbits(n: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
         )
     image_of = _rc_image(n)
     pairs, fixed = [], []
-    for pi in involutions(n):
-        # the image starts with n + 1 - pi[-1], which mostly settles the order
-        ends = pi[0] + pi[-1] if pi else n + 1
+    for row in _pairings((n,) * n, bytes):
+        # the image starts with n + 1 - row[-1], which mostly settles the order
+        ends = row[0] + row[-1] if row else n + 1
         if ends <= n:
-            pairs.append(pi)
+            pairs.append(row)
         elif ends == n + 1:
-            image = image_of(pi)
-            if pi < image:
-                pairs.append(pi)
-            elif pi == image:
-                fixed.append(pi)
+            image = image_of(row)
+            if row < image:
+                pairs.append(row)
+            elif row == image:
+                fixed.append(row)
     return tuple(pairs), tuple(fixed)
 
 
 @cache
-def involution_list(n: int) -> tuple[Perm, ...]:
-    """All involutions of [n], cached (35,696 of them at n = 11): the pairs
-    of _rc_orbits(n), its fixed involutions, then the images of the pairs,
-    so each tuple is shared with _rc_orbits.  n above 13 raises
-    InvalidInputError before anything is enumerated."""
+def _involution_rows(n: int) -> tuple[bytes, ...]:
+    # every involution of [n] as a row: the pairs of _rc_orbits(n), its
+    # fixed rows, then the images of the pairs; the orbit rows are shared
     pairs, fixed = _rc_orbits(n)
     return (*pairs, *fixed, *map(_rc_image(n), pairs))
+
+
+@cache
+def involution_list(n: int) -> tuple[Perm, ...]:
+    """All involutions of [n] as tuples, cached (35,696 of them at n = 11),
+    in the order of the rows that the counts scan: the pairs of
+    _rc_orbits(n), its fixed involutions, then the images of the pairs.  n
+    above 13 raises InvalidInputError before anything is enumerated."""
+    return tuple(map(tuple, _involution_rows(n)))
 
 
 def perm_to_text(pi: Perm) -> str:

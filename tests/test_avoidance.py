@@ -106,6 +106,16 @@ def test_batch_counts_match_count_avoiders(k):
     assert [sum(s) for s in zip(*shares)] == want
 
 
+def test_batch_counts_do_not_depend_on_the_chunk(monkeypatch):
+    # 764 rows at n = 8, read 7 at a time: the last chunk is short
+    reps = [cls[0] for cls in symmetry_classes(4)]
+    want = [count_avoiders(8, [rep]) for rep in reps]
+    monkeypatch.setattr(avoidance, "_CHUNK", 7)
+    assert _avoider_counts(8, reps) == want
+    shares = [_avoider_counts(8, reps, w, 3) for w in range(3)]
+    assert [sum(s) for s in zip(*shares)] == want
+
+
 def test_batch_gives_a_long_pattern_a_unit_of_its_own():
     long = tuple(range(17, 0, -1))
     assert _avoider_counts(6, [(1, 2), long, (2, 1), long, (1, 3, 2)]) == [1, 76, 1, 76, 20]

@@ -1,4 +1,5 @@
 """Permutations, patterns, and containment against a naive oracle."""
+import tracemalloc
 from functools import cache
 from itertools import combinations, permutations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpat import perms
+from invpat.boards import enumerate_self_conjugate_shapes
 from invpat.errors import InvalidInputError, InvalidWordError
 from invpat.perms import (
     avoids,
@@ -110,7 +112,9 @@ def test_contains_chains_past_the_nesting_limit():
     # CPython nests at most 20 blocks, so these matchers span several functions
     ident = tuple(range(1, 26))
     assert contains(tuple(range(1, 31)), ident)
+    assert contains(bytes(range(1, 31)), ident)  # as the counts pass a row
     assert not contains(tuple(range(30, 0, -1)), ident)
+    assert not contains(bytes(range(30, 0, -1)), ident)
     sigma = (3, 1, 22, 2, 5, 4, 21, 7, 6, 9, 8, 20, 11, 10, 13, 12, 19, 15, 14, 17, 16, 18)
     padded = tuple(10 * v for v in sigma[:11]) + (1, 999) + tuple(10 * v for v in sigma[11:])
     assert contains(padded, sigma)
@@ -118,6 +122,8 @@ def test_contains_chains_past_the_nesting_limit():
     swapped = sigma[:15] + (sigma[16], sigma[15]) + sigma[17:]
     assert not contains(swapped, sigma)
     assert contains(swapped, swapped)
+    assert not contains(bytes(swapped), sigma)
+    assert contains(bytes(swapped), swapped)
 
 
 @st.composite
@@ -209,6 +215,8 @@ def test_compiled_units_match_naive_contains_on_every_small_involution(board):
         bits = [SMALL.index(sigma) for sigma in unit]
         want = [sum((f >> b & 1) << j for j, b in enumerate(bits)) for f in found]
         assert list(map(match, *args)) == want, unit
+        if not board:  # the counts pass the word form rows of bytes
+            assert list(map(match, map(bytes, pis))) == want, unit
 
 
 def test_involution_counts_match_known_sequence():
@@ -259,16 +267,52 @@ def reference_involutions(n):
     yield from extend(tuple(range(1, n + 1)))
 
 
-@pytest.mark.parametrize("n", range(10))
+def reference_pairings(reach):
+    # the shared recursion as it stood before the explicit-stack walk: the
+    # same choices, with t paired only up to reach[t - 1]
+    mapping = [0] * len(reach)
+
+    def extend(free):
+        if not free:
+            yield tuple(mapping)
+            return
+        t = free[0]
+        bound = reach[t - 1]
+        if t <= bound:
+            mapping[t - 1] = t
+            yield from extend(free[1:])
+        for idx in range(1, len(free)):
+            u = free[idx]
+            if u > bound:
+                break
+            mapping[t - 1] = u
+            mapping[u - 1] = t
+            yield from extend(free[1:idx] + free[idx + 1 :])
+
+    yield from extend(tuple(range(1, len(reach) + 1)))
+
+
+@pytest.mark.parametrize("n", range(12))
 def test_involutions_match_the_reference_recursion(n):
-    assert list(involutions(n)) == list(reference_involutions(n))
+    want = list(reference_involutions(n))
+    assert list(involutions(n)) == want
+    assert list(perms._pairings((n,) * n, bytes)) == [bytes(pi) for pi in want]
+
+
+def test_the_pairing_walk_matches_the_recursion_on_every_shape_of_side_8():
+    shapes = list(enumerate_self_conjugate_shapes(8))
+    assert len(shapes) == 256
+    for shape in shapes:
+        assert list(perms._pairings(shape)) == list(reference_pairings(shape)), shape
+    # past side 255 an entry does not fit a byte; this hook has no placement
+    assert list(perms._pairings((256,) + (1,) * 255)) == []
 
 
 def test_involution_list_refuses_n_past_its_limit(monkeypatch):
-    def enumerate_nothing(n):
+    def enumerate_nothing(*args):
         raise AssertionError("enumerated before the limit check")
 
-    monkeypatch.setattr(perms, "involutions", enumerate_nothing)
+    monkeypatch.setattr(perms, "_pairings", enumerate_nothing)
     for n in (14, 16):
         with pytest.raises(InvalidInputError, match="limit of 13"):
             involution_list(n)
@@ -278,13 +322,29 @@ def test_involution_list_refuses_n_past_its_limit(monkeypatch):
 
 @pytest.mark.parametrize("n", range(12))
 def test_rc_orbits_partition_the_involution_list(n):
-    pairs, fixed = perms._rc_orbits(n)
+    pairs, fixed = ([tuple(row) for row in part] for part in perms._rc_orbits(n))
     images = [reversed_complement(pi) for pi in pairs]
     assert all(pi < image for pi, image in zip(pairs, images))
     assert all(reversed_complement(pi) == pi for pi in fixed)
     parts = [*pairs, *fixed, *images]
     assert len(set(parts)) == len(parts)  # disjoint, no repeats within a part
     assert sorted(parts) == sorted(involutions(n))
-    # the list is the three parts in order, sharing the orbit tuples
+    # the rows are the three parts in order, and the list is their tuples
+    rows = perms._involution_rows(n)
+    assert all(type(row) is bytes for row in rows)
+    assert [tuple(row) for row in rows] == parts
     assert involution_list(n) == tuple(parts)
-    assert all(a is b for a, b in zip(involution_list(n), pairs + fixed))
+
+
+def test_the_orbit_rows_take_at_most_64_bytes_each():
+    # the 18,004 orbit members kept at 11 take 152 B each with their slot
+    # as tuples, 52 B as bytes (as tracemalloc counts them)
+    perms._rc_orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs, fixed = perms._rc_orbits(11)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * (len(pairs) + len(fixed))
