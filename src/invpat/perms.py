@@ -7,6 +7,7 @@ has the same relative order.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -306,15 +307,46 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _patience(k: int, down: bool):
+    # Schensted: a word contains 12...k iff its longest increasing
+    # subsequence has k entries, and k...1 iff its reverse's does.  tails[i]
+    # is the least last entry of an increasing subsequence of i + 1 entries
+    # read so far; tails increases, so each entry bisects into it.
+    # Reversing the word costs less than negating its entries.
+    last = k - 1
+
+    def match(seq):
+        tails = []
+        for v in reversed(seq) if down else seq:
+            i = bisect_left(tails, v)
+            if i < len(tails):
+                tails[i] = v
+            elif i < last:
+                tails.append(v)
+            else:
+                return 1
+        return 0
+
+    return match
+
+
 @cache
 def _matcher(unit: tuple[Perm, ...], board: bool = False):
-    """The compiled containment test for a unit of patterns, built on first
-    use; its result has bit j set iff unit[j] occurs.
+    """The containment test for a unit of patterns, built on first use; its
+    result has bit j set iff unit[j] occurs.
 
     The word form is called as match(seq), seq any sequence of distinct
-    integers (the involution rows are bytes), which it reads as a tuple;
-    the board form as match(dots, shape) with dots sorted by column.
+    integers (the involution rows are bytes); the board form as
+    match(dots, shape) with dots sorted by column.  The word form of one
+    monotone pattern, 12...k or k...1 with k >= 2, is a patience-sorting
+    pass over seq; every other unit, and every board form, is compiled
+    into nested loops (_matcher_source) that read seq as a tuple.
     """
+    if not board and len(unit) == 1 and len(unit[0]) > 1:
+        (sigma,) = unit
+        k = len(sigma)
+        if sigma in ((*range(1, k + 1),), (*range(k, 0, -1),)):
+            return _patience(k, sigma[0] == k)
     namespace: dict = {"inf": inf}
     source = _matcher_source(unit, board)
     lengths = ",".join(str(len(sigma)) for sigma in unit)
@@ -327,7 +359,9 @@ def contains(pi: Sequence[int], sigma: Perm) -> bool:
 
     pi may be any sequence of distinct integers; only relative order is
     used.  The empty pattern is contained in everything.  The test runs the
-    matcher compiled for the one-pattern unit (sigma,) on its first use.
+    word-form matcher of the one-pattern unit (sigma,), built on its first
+    use: a patience-sorting pass for 12...k and k...1, compiled nested
+    loops for any other pattern.
 
     >>> contains((1, 2, 7, 9, 6, 5, 3, 8, 4), (1, 2, 3, 5, 4))
     True

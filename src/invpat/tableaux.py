@@ -29,17 +29,18 @@ def is_standard(t: Tableau) -> bool:
     shorten, so an empty row can only come last); validate_tableau adds the
     rule that no row is empty.
     """
-    lengths = list(map(len, t))
-    if lengths != sorted(lengths, reverse=True):
-        return False
     entries = sorted(chain.from_iterable(t))
-    if entries != list(range(1, len(entries) + 1)):
+    if entries != [*range(1, len(entries) + 1)]:
         return False
     # entries are distinct here, so a sorted row strictly increases
-    if list(map(sorted, t)) != list(map(list, t)):
-        return False
-    # rows weakly shorten, so map stops at the end of the lower row
-    return all(all(map(lt, upper, lower)) for upper, lower in zip(t, t[1:]))
+    for row in t:
+        if [*row] != sorted(row):
+            return False
+    # a lower row no longer than the upper one ends under it, where map stops
+    for upper, lower in zip(t, t[1:]):
+        if len(upper) < len(lower) or not all(map(lt, upper, lower)):
+            return False
+    return True
 
 
 def validate_tableau(rows) -> Tableau:

@@ -61,19 +61,23 @@ def test_single_pattern_counts_match_closed_forms():
 def test_hook_length_sum_matches_count_avoiders(monkeypatch):
     # an empty memo makes count_avoiders search
     monkeypatch.setattr(avoidance, "_known", {})
+    # an involution's tableau has its longest increasing subsequence as the
+    # first row and its longest decreasing one as the first column;
+    # transposing swaps them, so k...1 has the count of 12...k
     for k in range(1, 7):
         increasing = tuple(range(1, k + 1))
         for n in range(11):
-            assert hook_length_sum(n, k) == count_avoiders(n, [increasing])
+            want = hook_length_sum(n, k)
+            assert count_avoiders(n, [increasing]) == want
+            assert count_avoiders(n, [increasing[::-1]]) == want
 
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
-    # the matchers of 12...k and k...1 skip the most subtrees: every level
-    # keeps a running bound and every inner one a set of positions searched;
-    # both sets are their own reversed complement, so only one member of
-    # each orbit is searched.  n = 11 and 12 are past what the brute-force
-    # tests reach.
+    # 12...k and k...1 are each tested by one patience-sorting pass (the
+    # compiled loops are not run for them), and both sets are their own
+    # reversed complement, so only one member of each orbit is tested.
+    # n = 11 and 12 are past what the brute-force tests reach.
     monkeypatch.setattr(avoidance, "_known", {})
     for k in (4, 5, 6):
         want = hook_length_sum(n, k)

@@ -158,8 +158,9 @@ def test_unit_mask_bits_match_brute_force(case):
 
 
 def test_only_a_one_pattern_unit_may_pass_the_nesting_limit():
-    long = tuple(range(1, 18))
-    assert perms._matcher((long,))(tuple(range(1, 19))) == 1
+    long = (2, 1, *range(3, 18))  # not monotone, so compiled
+    assert perms._matcher((long,))((2, 1, *range(3, 19))) == 1
+    assert perms._matcher((long,))(tuple(range(1, 19))) == 0
     with pytest.raises(ValueError, match="unit of its own"):
         perms._matcher((long, (2, 1)))
 
@@ -217,6 +218,80 @@ def test_compiled_units_match_naive_contains_on_every_small_involution(board):
         assert list(map(match, *args)) == want, unit
         if not board:  # the counts pass the word form rows of bytes
             assert list(map(match, map(bytes, pis))) == want, unit
+
+
+def compiled(unit):
+    # the nested-loop matcher of a unit, whichever test _matcher picks for it
+    namespace = {"inf": perms.inf}
+    exec(perms._matcher_source(unit, False), namespace)
+    return namespace["match"]
+
+
+MONOTONE = [
+    (sigma, down)
+    for k in range(1, 9)
+    for sigma, down in (((*range(1, k + 1),), False), ((*range(k, 0, -1),), True))
+]
+
+
+def test_a_lone_monotone_pattern_is_tested_by_patience_sorting():
+    patience = perms._patience(2, False).__code__  # shared by every k
+    for sigma, _ in MONOTONE:
+        assert (perms._matcher((sigma,)).__code__ is patience) == (len(sigma) > 1), sigma
+    # a unit of two, the board form and any other pattern stay compiled
+    assert perms._matcher(((1, 2), (2, 1))).__code__ is not patience
+    assert perms._matcher(((1, 2),), board=True).__code__ is not patience
+    assert perms._matcher(((1, 3, 2),)).__code__ is not patience
+
+
+def test_patience_matches_the_compiled_loops_on_every_small_involution():
+    pis = [pi for n in range(10) for pi in involution_list(n)]
+    for sigma, down in MONOTONE:
+        want = list(map(compiled((sigma,)), pis))
+        match = perms._patience(len(sigma), down)
+        assert list(map(match, pis)) == want, sigma
+        assert list(map(match, map(bytes, pis))) == want, sigma
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-(10**12), 10**12), max_size=14, unique=True),
+    st.sampled_from(MONOTONE),
+)
+def test_patience_matches_the_compiled_loops_on_arbitrary_words(word, case):
+    sigma, down = case
+    want = compiled((sigma,))(word)
+    match = perms._patience(len(sigma), down)
+    assert match(word) == match(tuple(word)) == want
+
+
+@cache
+def chained_monotone(down):
+    # 17 levels: the compiled loops chain two functions
+    sigma = (*range(17, 0, -1),) if down else (*range(1, 18),)
+    assert "def level16(" in perms._matcher_source((sigma,), False)
+    return sigma, compiled((sigma,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(14, 20),
+    st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=4),
+    st.booleans(),
+)
+def test_patience_matches_the_chained_loops_past_the_nesting_limit(n, swaps, down):
+    # a few transpositions of 1..n leave its longest increasing subsequence
+    # near 17, so both answers occur
+    word = list(range(1, n + 1))
+    for a, b in swaps:
+        if max(a, b) < n:
+            word[a], word[b] = word[b], word[a]
+    if down:
+        word.reverse()
+    sigma, loops = chained_monotone(down)
+    want = loops(word)
+    assert perms._patience(17, down)(word) == want
+    assert perms._matcher((sigma,))(bytes(word)) == want
 
 
 def test_involution_counts_match_known_sequence():
