@@ -18,13 +18,14 @@ Perm = tuple[int, ...]
 
 
 def validate_perm(values: Sequence[int]) -> Perm:
-    """Return values as a tuple after checking it permutes 1..n.
+    """Return values as a tuple after checking it permutes 1..n, with every
+    entry an int (bool excluded).
 
     >>> validate_perm([2, 1, 3])
     (2, 1, 3)
     """
     pi = tuple(values)
-    if sorted(pi) != list(range(1, len(pi) + 1)):
+    if not set(map(type, pi)) <= {int} or sorted(pi) != list(range(1, len(pi) + 1)):
         raise InvalidWordError(f"not a permutation of 1..{len(pi)}: {pi}")
     return pi
 
@@ -488,12 +489,13 @@ def _involution_rows(n: int) -> tuple[bytes, ...]:
     return (*pairs, *fixed, *map(_rc_image(n), pairs))
 
 
-@cache
 def involution_list(n: int) -> tuple[Perm, ...]:
-    """All involutions of [n] as tuples, cached (35,696 of them at n = 11),
-    in the order of the rows that the counts scan: the pairs of
-    _rc_orbits(n), its fixed involutions, then the images of the pairs.  n
-    above 13 raises InvalidInputError before anything is enumerated."""
+    """All involutions of [n] as tuples (35,696 of them at n = 11), in the
+    order of the rows that the counts scan: the pairs of _rc_orbits(n), its
+    fixed involutions, then the images of the pairs.  Only the rows are
+    cached; the tuples are built from them on each call, so no second copy
+    of the list is held.  n above 13 raises InvalidInputError before
+    anything is enumerated."""
     return tuple(map(tuple, _involution_rows(n)))
 
 

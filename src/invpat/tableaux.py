@@ -3,6 +3,10 @@
 A tableau is stored as a tuple of row tuples, the row containing 1 first.
 Entries increase along rows and along columns (from one row to the next),
 and row lengths weakly decrease.
+
+A tableau is checked once.  validate_tableau checks what comes from
+outside; it, rsk, evacuation and standard_tableaux return the private tuple
+subclass _Standard, which the tableau operations take without a new check.
 """
 from __future__ import annotations
 
@@ -43,14 +47,32 @@ def is_standard(t: Tableau) -> bool:
     return True
 
 
+class _Standard(tuple):
+    """A tableau known to be standard with no empty row: built by this
+    module, or checked once by validate_tableau.  Only this exact type is
+    trusted, so a caller's own tuple subclass is checked like any tuple."""
+
+    __slots__ = ()
+
+
 def validate_tableau(rows) -> Tableau:
-    """rows as a tuple of tuples, after checking it is standard and has no
-    empty row (is_standard alone lets trailing empty rows through, and
-    rows weakly shorten, so an empty row is the last)."""
-    t = tuple(map(tuple, rows))
+    """rows as a tuple of tuples, after checking that every entry is an int
+    (bool excluded), that it is standard and that no row is empty
+    (is_standard alone lets trailing empty rows through, and rows weakly
+    shorten, so an empty row is the last).  A tableau that this module
+    built or already checked is returned as it is.
+    """
+    if type(rows) is _Standard:
+        return rows
+    try:
+        t = tuple(map(tuple, rows))
+    except TypeError:
+        raise InvalidTableauError(f"not a sequence of rows: {rows!r}") from None
+    if not set(map(type, chain.from_iterable(t))) <= {int}:
+        raise InvalidTableauError(f"tableau entries must be integers: {t}")
     if not is_standard(t) or (t and not t[-1]):
         raise InvalidTableauError(f"not a standard tableau: {t}")
-    return t
+    return _Standard(t)
 
 
 def transpose_tableau(t: Tableau) -> Tableau:
@@ -70,11 +92,13 @@ def rsk(pi: Perm) -> tuple[Tableau, Tableau]:
     """Row-insert pi; return the insertion and recording tableaux.
 
     The tableaux share a shape with len(pi) boxes, and an involution yields
-    equal tableaux.
+    equal tableaux.  pi must permute 1..n (InvalidWordError otherwise), so
+    that both tableaux are standard.
 
     >>> rsk((3, 1, 2))
     (((1, 2), (3,)), ((1, 3), (2,)))
     """
+    pi = validate_perm(pi)
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, value in enumerate(pi, start=1):
@@ -93,7 +117,7 @@ def rsk(pi: Perm) -> tuple[Tableau, Tableau]:
                 break
             row[idx], x = x, row[idx]
             r += 1
-    return tuple(tuple(r) for r in p_rows), tuple(tuple(r) for r in q_rows)
+    return _Standard(map(tuple, p_rows)), _Standard(map(tuple, q_rows))
 
 
 def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
@@ -107,8 +131,11 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
     if tableau_shape(p) != tableau_shape(q):
         raise InvalidTableauError("tableaux have different shapes")
     rows = [list(row) for row in p]
-    row_of = {v: r for r, row in enumerate(q) for v in row}
-    n = len(row_of)
+    n = sum(map(len, q))
+    row_of = [0] * (n + 1)  # row_of[v] is the row of q that holds v
+    for r, row in enumerate(q):
+        for v in row:
+            row_of[v] = r
     word = [0] * n
     for step in range(n, 0, -1):
         # the largest entry left in q is an outer corner: last in its row
@@ -155,7 +182,7 @@ def evacuation(q: Tableau) -> Tableau:
                 break
         grid[r][c] = end
         out[r][c] = end - step
-    return tuple(map(tuple, out))
+    return _Standard(map(tuple, out))
 
 
 def check_reversal_property(w: Perm) -> bool:
@@ -174,28 +201,52 @@ def standard_tableaux(shape: tuple[int, ...]) -> Iterator[Tableau]:
     One grid is filled in place with n, n-1, ..., 1, each placed in an
     outer corner of the cells still empty, rows tried top to bottom.  The
     tableaux therefore come out ordered by (row of n, row of n-1, ...,
-    row of 1).
+    row of 1).  The walk keeps the row of each entry placed on one explicit
+    stack, with no chain of nested generators.  1 always sits at (0, 0),
+    and 2 in whichever of (0, 1) and (1, 0) is left, so the walk stops at 2.
 
     >>> list(standard_tableaux((2, 1)))
     [((1, 3), (2,)), ((1, 2), (3,))]
     """
     shape = validate_shape(shape)
+    height = len(shape)
     grid = [[0] * length for length in shape]
-    left = list(shape)  # empty cells left in each row
-    last = len(left) - 1
-
-    def fill(v: int) -> Iterator[Tableau]:
-        if not v:
-            yield tuple(map(tuple, grid))
+    if grid:
+        grid[0][0] = 1
+    # empty cells left in each row, then a row of none and a row of -1, at
+    # which the corner search below stops
+    left = [*shape, 0, -1]
+    placed = []  # the row of each entry placed, n first
+    v = sum(shape)  # the entry to place next
+    r = 0  # the first row to try it in
+    while True:
+        while v > 2:
+            # the first row from r whose last empty cell is an outer corner
+            c = left[r]
+            while left[r + 1] >= c:
+                r += 1
+                c = left[r]
+            if r == height:
+                break
+            left[r] = c - 1
+            grid[r][c - 1] = v
+            placed.append(r)
+            v -= 1
+            r = 0
+        else:
+            if v == 2:
+                if left[0] == 2:
+                    grid[0][1] = 2
+                else:
+                    grid[1][0] = 2
+            yield _Standard(map(tuple, grid))
+        # take back the last entry placed and try it in a lower row
+        if not placed:
             return
-        for r, c in enumerate(left):
-            if c and (r == last or left[r + 1] < c):
-                left[r] = c - 1
-                grid[r][c - 1] = v
-                yield from fill(v - 1)
-                left[r] = c
-
-    yield from fill(sum(shape))
+        r = placed.pop()
+        left[r] += 1
+        v += 1
+        r += 1
 
 
 def tableau_to_text(t: Tableau) -> str:

@@ -22,6 +22,10 @@ GOLDEN = {
     "verify_columns_n_5.txt": "verify --check columns --n-max 5",
     "verify_prefix_k_4_n_7.txt": "verify --check prefix --k-max 4 --n-max 7",
     "scan_n_7_side_4_k_3.json": "scan --n-max 7 --shape-side 4 --k-max 3 --format json",
+    "rsk_perm_42513.txt": "rsk --perm 42513",
+    "rsk_perm_42513.json": "rsk --perm 42513 --format json",
+    "rsk_p_12_3_q_13_2.txt": "rsk --p 1,2/3 --q 1,3/2",
+    "rsk_p_12_3_q_13_2.json": "rsk --p 1,2/3 --q 1,3/2 --format json",
 }
 
 

@@ -35,6 +35,9 @@ def test_validate_perm_rejects_non_permutations():
         validate_perm((1, 3))
     with pytest.raises(InvalidWordError):
         validate_perm((1, 1, 2))
+    for word in [(1.0, 2.0), (True,), (1, "2"), (2, True)]:
+        with pytest.raises(InvalidWordError):
+            validate_perm(word)
     assert validate_perm(()) == ()
 
 
@@ -423,3 +426,16 @@ def test_the_orbit_rows_take_at_most_64_bytes_each():
     finally:
         tracemalloc.stop()
     assert held <= 64 * (len(pairs) + len(fixed))
+
+
+def test_involution_list_holds_no_copy_of_the_rows():
+    # involution_list builds its tuples on each call; with a cache of its
+    # own, the 35,696 tuples of 11 would stay alive (about 5 MiB)
+    perms._involution_rows(11)
+    tracemalloc.start()
+    try:
+        assert len(involution_list(11)) == 35696
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

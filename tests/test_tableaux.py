@@ -1,13 +1,14 @@
 """Row insertion, its inverse, evacuation, and tableau enumeration."""
 from bisect import bisect_right
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpat.errors import InvalidShapeError, InvalidTableauError
+from invpat import tableaux
+from invpat.errors import InvalidShapeError, InvalidTableauError, InvalidWordError
 from invpat.perms import is_involution
 from invpat.tableaux import (
     check_reversal_property,
@@ -53,6 +54,25 @@ def test_empty_rows_are_rejected(rows):
     trimmed = [row for row in rows if row]
     with pytest.raises(InvalidTableauError):
         rsk_inverse(trimmed, rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, "2"]], [1, 2], None, [[1.0, 2.0]], [[True]]], ids=repr
+)
+def test_malformed_tableaux_raise_the_named_error(rows):
+    with pytest.raises(InvalidTableauError):
+        validate_tableau(rows)
+    with pytest.raises(InvalidTableauError):
+        evacuation(rows)
+    with pytest.raises(InvalidTableauError):
+        rsk_inverse(rows, rows)
+
+
+@pytest.mark.parametrize("word", [(1, 1), (2, 3), (1.0, 2.0), (True,)], ids=repr)
+def test_rsk_refuses_a_word_that_is_not_a_permutation(word):
+    # its tableaux would not be standard, and rsk marks what it returns
+    with pytest.raises(InvalidWordError):
+        rsk(word)
 
 
 def test_transpose_tableau():
@@ -282,3 +302,90 @@ def test_rsk_inverse_matches_the_reference_on_random_words(w):
 def test_evacuation_matches_the_reference_slide(shape):
     for t in standard_tableaux(shape):
         assert evacuation(t) == reference_evacuation(t)
+
+
+def reference_standard_tableaux(shape):
+    """The recursive fill that the explicit-stack walk replaced: n, n-1,
+    ..., 1 each in an outer corner of the empty cells, rows top to bottom."""
+    grid = [[0] * length for length in shape]
+    left = list(shape)
+    last = len(left) - 1
+
+    def fill(v):
+        if not v:
+            yield tuple(map(tuple, grid))
+            return
+        for r, c in enumerate(left):
+            if c and (r == last or left[r + 1] < c):
+                left[r] = c - 1
+                grid[r][c - 1] = v
+                yield from fill(v - 1)
+                left[r] = c
+
+    yield from fill(sum(shape))
+
+
+BOX_4 = [s for n in range(17) for s in partitions(n, 4) if len(s) <= 4]
+
+
+@pytest.mark.parametrize("shape", BOX_4 + [(5, 4, 3, 2, 1)], ids=str)
+def test_standard_tableaux_keep_the_order_of_the_recursive_fill(shape):
+    # streamed pairwise: (5, 4, 3, 2, 1) alone has 292,864 tableaux
+    pairs = zip_longest(standard_tableaux(shape), reference_standard_tableaux(shape))
+    assert all(new == old for new, old in pairs)
+
+
+# -- the marker of checked tableaux --------------------------------------------
+# rsk, evacuation, standard_tableaux and validate_tableau return tableaux of
+# a private tuple subclass that validate_tableau passes without a check.
+# These tests kill two mutants of that shortcut: an isinstance test in place
+# of the exact type test (a subclass of the marker would then be trusted),
+# and marking an argument before it is checked (a non-standard plain tuple
+# would then pass).
+
+
+def assert_certified(t):
+    assert type(t) is tableaux._Standard
+    assert is_standard(t) and all(t)  # standard, with no empty row
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_every_marked_tableau_is_standard(w):
+    p, q = rsk(tuple(w))
+    for t in (p, q, evacuation(p), evacuation(q)):
+        assert_certified(t)
+    assert_certified(validate_tableau([list(row) for row in q]))
+    assert_certified(validate_tableau(tuple(map(tuple, p))))
+
+
+@pytest.mark.parametrize("shape", BOX_4, ids=str)
+def test_every_tableau_of_the_4_box_is_marked_and_standard(shape):
+    for t in standard_tableaux(shape):
+        assert_certified(t)
+        assert_certified(evacuation(t))
+
+
+class UserTuple(tuple):
+    pass
+
+
+class ForgedMark(tableaux._Standard):
+    pass
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, UserTuple, ForgedMark], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [((2, 1), (3,)), ((1, 2), (2,)), ((1, 3), (2,), ())], ids=str)
+def test_unmarked_tableaux_are_still_checked(wrap, bad):
+    rows = wrap(bad)
+    good = next(standard_tableaux(tuple(len(row) for row in bad if row)))
+    with pytest.raises(InvalidTableauError):
+        validate_tableau(rows)
+    with pytest.raises(InvalidTableauError):
+        evacuation(rows)
+    with pytest.raises(InvalidTableauError):
+        rsk_inverse(rows, good)
+    with pytest.raises(InvalidTableauError):
+        rsk_inverse(good, rows)
+    with pytest.raises(InvalidTableauError):
+        tableau_from_text(tableau_to_text(rows))
