@@ -18,9 +18,10 @@ from .errors import InvalidInputError
 from .perms import (
     _LEVELS_PER_FUNCTION,
     Perm,
-    _involution_rows,
     _matcher,
+    _rc_image,
     _rc_orbits,
+    involution_list,
     pattern_of,
     perm_from_text,
     perm_to_text,
@@ -45,18 +46,13 @@ def pattern_set_key(patterns: PatternSet) -> str:
     return ";".join(sorted(perm_to_text(p) for p in sorted(patterns)))
 
 
-def _avoiding(found: Sequence[bytes], patterns) -> Sequence[bytes]:
+def _avoiding(found: Iterable[Sequence[int]], patterns) -> list:
     # cheapest check first; each pattern sees only the survivors of the
     # shorter ones, so every involution meets the same matchers as in a
     # nested loop that stops at the first match
     for sigma in sorted(patterns, key=len):
         found = list(filterfalse(_matcher((sigma,)), found))
     return found
-
-
-def _avoiding_involutions(n: int, patterns) -> Sequence[bytes]:
-    # the involutions of [n] avoiding the set, as rows (see perms)
-    return _avoiding(_involution_rows(n), patterns)
 
 
 # the rows that _avoider_counts turns into tuples at a time: a matcher reads
@@ -68,33 +64,39 @@ _CHUNK = 4096
 def _avoider_counts(
     n: int, patterns: Sequence[Perm], start: int = 0, step: int = 1
 ) -> list[int]:
-    """For each pattern, how many of the involution rows of [n] avoid it,
-    taking every step-th row from start (perms._involution_rows).
+    """For each pattern, how many involutions of [n] avoid it, counted over
+    every step-th row from start of each part of perms._rc_orbits(n).  The
+    image of a pair avoids sigma iff the pair avoids the image of sigma, so
+    the pairs are scanned for the patterns and their reversed complements,
+    the fixed rows for the patterns alone.
 
-    The patterns are matched in units: those that agree on the standardised
-    prefix of all but their last two entries share one compiled matcher,
-    which walks the loops of their common prefixes once for all of them.  A
-    pattern too long to nest with others is a unit of its own.  Each unit
-    counts the masks its matcher returns, and each mask counts against every
-    pattern whose bit it has.
+    The patterns of a scan are matched in units: those that agree on the
+    standardised prefix of all but their last two entries share one
+    compiled matcher, which walks the loops of their common prefixes once
+    for all of them.  A pattern too long to nest with others is a unit of
+    its own.  Each unit counts the masks its matcher returns, and each mask
+    counts against every pattern whose bit it has.
     """
-    share = _involution_rows(n)[start::step]
-    units: dict = {}
-    for j, sigma in enumerate(patterns):
-        key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
-        units.setdefault(key, []).append(j)
-    matchers = [_matcher(tuple(patterns[j] for j in members)) for members in units.values()]
-    masks = [Counter() for _ in matchers]
-    for at in range(0, len(share), _CHUNK):
-        chunk = [*map(tuple, share[at : at + _CHUNK])]
-        for match, found in zip(matchers, masks):
-            found.update(map(match, chunk))
-    avoiders = [len(share)] * len(patterns)
-    for members, found in zip(units.values(), masks):
-        for mask, count in found.items():
-            for bit, j in enumerate(members):
-                if mask >> bit & 1:
-                    avoiders[j] -= count
+    pairs, fixed = (part[start::step] for part in _rc_orbits(n))
+    m = len(patterns)
+    avoiders = [2 * len(pairs) + len(fixed)] * m
+    with_images = [*patterns, *map(reversed_complement, patterns)]
+    for rows, scanned in ((pairs, with_images), (fixed, patterns)):
+        units: dict = {}
+        for j, sigma in enumerate(scanned):
+            key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
+            units.setdefault(key, []).append(j)
+        matchers = [_matcher(tuple(scanned[j] for j in members)) for members in units.values()]
+        masks = [Counter() for _ in matchers]
+        for at in range(0, len(rows), _CHUNK):
+            chunk = [*map(tuple, rows[at : at + _CHUNK])]
+            for match, found in zip(matchers, masks):
+                found.update(map(match, chunk))
+        for members, found in zip(units.values(), masks):
+            for mask, count in found.items():
+                for bit, j in enumerate(members):
+                    if mask >> bit & 1:
+                        avoiders[j % m] -= count
     return avoiders
 
 
@@ -104,16 +106,18 @@ _known: dict[tuple[int, PatternSet], int] = {}
 
 
 def _count_avoiders(n: int, patterns: PatternSet) -> int:
-    # pi contains sigma iff reversed_complement(pi) contains the image of
-    # sigma, so when the set is its own image both members of an orbit
-    # {pi, reversed_complement(pi)} avoid it or neither does
+    # the pairs of _rc_orbits(n), their images made as they are read, then
+    # the fixed rows; pi avoids sigma iff its image avoids sigma's, so a set
+    # that is its own image has as many avoiders in the images as the pairs
     count = _known.get((n, patterns))
     if count is None:
+        pairs, fixed = _rc_orbits(n)
+        count = len(_avoiding(pairs, patterns))
         if set(map(reversed_complement, patterns)) == patterns:
-            pairs, fixed = _rc_orbits(n)
-            count = 2 * len(_avoiding(pairs, patterns)) + len(_avoiding(fixed, patterns))
+            count *= 2
         else:
-            count = len(_avoiding_involutions(n, patterns))
+            count += len(_avoiding(map(_rc_image(n), pairs), patterns))
+        count += len(_avoiding(fixed, patterns))
         _known[n, patterns] = count
     return count
 
@@ -133,44 +137,39 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
         raise InvalidInputError("n must be >= 0")
     ps = pattern_set(patterns)
     if store is not None:
-        key = _cell_key(ps, n)
-        hit = store.get(key)
-        if hit is not None:
-            return hit
-        value = _count_avoiders(n, ps)
-        store.put(key, value)
-        return value
+        return _each_count(n, [ps], store)[0]
     return _count_avoiders(n, ps)
 
 
 def _each_count(
-    n: int, patterns: list[Perm], store: "CountStore | None", pool, jobs: int
+    n: int, cells: list[PatternSet], store: "CountStore | None", pool=None, jobs: int = 1
 ) -> list[int]:
-    """The avoider count at n of each pattern alone.
+    """The avoider count at n of each pattern set.
 
-    The store is read once per cell.  The cells that neither it nor the
-    memo holds are counted as one batch into the memo, split over jobs
-    interleaved shares of the involutions when a process pool is given;
-    every cell is then read through count_avoiders, and the store gets one
-    journal line per cell it lacked.
+    The store is read once per cell.  When several cells are in neither it
+    nor the memo, they hold one pattern each and are counted as one batch
+    into the memo, split over jobs interleaved shares of the orbits when a
+    process pool is given.  Every cell is then read through count_avoiders,
+    which counts a lone miss itself, and the store gets one journal line
+    per cell it lacked.
     """
-    cells = [frozenset([sigma]) for sigma in patterns]
     keys = [_cell_key(cell, n) for cell in cells]
     stored = [None] * len(cells) if store is None else [store.get(key) for key in keys]
     for cell, count in zip(cells, stored):
         if count is not None:
             _known.setdefault((n, cell), count)
-    todo = [sigma for sigma, cell in zip(patterns, cells) if (n, cell) not in _known]
-    if todo:
+    todo = [cell for cell in cells if (n, cell) not in _known]
+    if len(todo) > 1:
+        patterns = [sigma for (sigma,) in todo]
         if pool is None:
-            counts = _avoider_counts(n, todo)
+            counts = _avoider_counts(n, patterns)
         else:
             shares = pool.map(
-                _avoider_counts, repeat(n), repeat(todo, jobs), range(jobs), repeat(jobs)
+                _avoider_counts, repeat(n), repeat(patterns, jobs), range(jobs), repeat(jobs)
             )
             counts = [sum(cell) for cell in zip(*shares)]
-        for sigma, count in zip(todo, counts):
-            _known[n, frozenset([sigma])] = count
+        for cell, count in zip(todo, counts):
+            _known[n, cell] = count
     column = [count_avoiders(n, cell) for cell in cells]
     if store is not None:
         for key, count, hit in zip(keys, column, stored):
@@ -207,9 +206,8 @@ def count_avoiders_with_column_constraint(
         raise InvalidInputError("side must be 'left' or 'right'")
     window = slice(0, i) if side == "left" else slice(n - i, n)
     match = _matcher((tuple(flank),))
-    return sum(
-        1 for pi in _avoiding_involutions(n, pattern_set(main)) if not match(pi[window])
-    )
+    found = _avoiding(involution_list(n), pattern_set(main))
+    return sum(1 for pi in found if not match(pi[window]))
 
 
 # -- closed forms used as independent cross-checks --------------------------

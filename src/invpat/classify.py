@@ -81,13 +81,14 @@ def _count_vectors(
     reps: list[Perm], ns: tuple[int, ...], jobs: int, store: CountStore | None
 ) -> list[tuple[int, ...]]:
     # Without a store, jobs workers each count the batch of every n over an
-    # interleaved share of the involutions and the shares are summed; with
+    # interleaved share of the orbits and the shares are summed; with
     # one, the counting stays in this process.
     if type(jobs) is not int or jobs < 1:
         raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
     parallel = jobs > 1 and store is None
+    cells = [frozenset([rep]) for rep in reps]
     with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
-        columns = [_each_count(n, reps, store, pool, jobs) for n in ns]
+        columns = [_each_count(n, cells, store, pool, jobs) for n in ns]
     return list(zip(*columns))
 
 

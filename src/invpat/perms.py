@@ -437,10 +437,11 @@ def involutions(n: int) -> Iterator[Perm]:
     return _pairings((n,) * n)
 
 
-# The stores below hold each involution of [n] as a row, bytes whose entries
-# fit up to the limit: 46 B at 13 where a tuple takes 160.  All 568,504 rows
-# of 13 hold 31 MiB, the orbits alone 15 MiB; the 2,390,480 of 14 would
-# need about four times as much.
+# _rc_orbits(n) holds one member of each reversed-complement orbit of the
+# involutions of [n] as a row, bytes whose entries fit up to the limit: 46 B
+# at 13 where a tuple takes 160.  The 284,944 rows it keeps at 13 take
+# 15 MiB; the 2,390,480 involutions of 14 would need about four times as
+# much.  No store keeps the other members: they are made as they are read.
 _INVOLUTION_LIST_MAX_N = 13
 
 
@@ -454,9 +455,10 @@ def _rc_image(n: int) -> Callable[[bytes], bytes]:
 def _rc_orbits(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """The involutions of [n] by reversed-complement orbit, as rows (pairs,
     fixed): the smaller member of each orbit of two and every involution
-    that reversed_complement fixes.  Each is met once in the pairing walk,
-    and the larger members are dropped as they come.  n above 13 raises
-    InvalidInputError before anything is enumerated.
+    that reversed_complement fixes: the one involution store, the images of
+    the pairs being made as they are read.  Each is met once in the pairing
+    walk, and the larger members are dropped as they come.  n above 13
+    raises InvalidInputError before anything is enumerated.
 
     >>> [[tuple(row) for row in part] for part in _rc_orbits(3)]
     [[(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]]
@@ -481,22 +483,14 @@ def _rc_orbits(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     return tuple(pairs), tuple(fixed)
 
 
-@cache
-def _involution_rows(n: int) -> tuple[bytes, ...]:
-    # every involution of [n] as a row: the pairs of _rc_orbits(n), its
-    # fixed rows, then the images of the pairs; the orbit rows are shared
-    pairs, fixed = _rc_orbits(n)
-    return (*pairs, *fixed, *map(_rc_image(n), pairs))
-
-
 def involution_list(n: int) -> tuple[Perm, ...]:
-    """All involutions of [n] as tuples (35,696 of them at n = 11), in the
-    order of the rows that the counts scan: the pairs of _rc_orbits(n), its
-    fixed involutions, then the images of the pairs.  Only the rows are
-    cached; the tuples are built from them on each call, so no second copy
-    of the list is held.  n above 13 raises InvalidInputError before
-    anything is enumerated."""
-    return tuple(map(tuple, _involution_rows(n)))
+    """All involutions of [n] as tuples (35,696 of them at n = 11): the
+    pairs of _rc_orbits(n), its fixed involutions, then the images of the
+    pairs.  The tuples and the images are made from the orbits on each
+    call, so nothing but the orbits is held between calls.  n above 13
+    raises InvalidInputError before anything is enumerated."""
+    pairs, fixed = _rc_orbits(n)
+    return (*map(tuple, pairs), *map(tuple, fixed), *map(tuple, map(_rc_image(n), pairs)))
 
 
 def perm_to_text(pi: Perm) -> str:

@@ -33,7 +33,10 @@ def is_standard(t: Tableau) -> bool:
     shorten, so an empty row can only come last); validate_tableau adds the
     rule that no row is empty.
     """
-    entries = sorted(chain.from_iterable(t))
+    try:
+        entries = sorted(chain.from_iterable(t))
+    except TypeError:  # entries that do not compare
+        return False
     if entries != [*range(1, len(entries) + 1)]:
         return False
     # entries are distinct here, so a sorted row strictly increases
@@ -76,13 +79,16 @@ def validate_tableau(rows) -> Tableau:
 
 
 def transpose_tableau(t: Tableau) -> Tableau:
-    """Reflect across the main diagonal (rows become columns).
+    """Reflect across the main diagonal (rows become columns); rows that do
+    not weakly shorten raise InvalidTableauError.
 
     >>> transpose_tableau(((1, 2), (3,)))
     ((1, 3), (2,))
     """
     if not t:
         return ()
+    if any(len(upper) < len(lower) for upper, lower in zip(t, t[1:])):
+        raise InvalidTableauError(f"a row is longer than the row above it: {t}")
     return tuple(
         tuple(t[r][c] for r in range(len(t)) if c < len(t[r])) for c in range(len(t[0]))
     )

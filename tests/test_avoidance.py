@@ -1,15 +1,15 @@
 """Counting avoiders: brute force, closed forms, and the memo store."""
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpat import avoidance
+from invpat import avoidance, perms
 from invpat.avoidance import (
     CountStore,
     _avoider_counts,
-    _avoiding_involutions,
     closed_form_123,
     closed_form_231,
     closed_form_1234,
@@ -25,7 +25,7 @@ from invpat.avoidance import (
 )
 from invpat.classify import symmetry_classes
 from invpat.errors import InvalidInputError, InvalidShapeError
-from invpat.perms import involutions, pattern_of, reversed_complement
+from invpat.perms import contains, inverse, involutions, pattern_of, reversed_complement
 
 
 def test_pattern_set_normalizes_and_rejects_empty():
@@ -89,25 +89,62 @@ def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
 @pytest.mark.parametrize("k, n_max", [(3, 10), (4, 10), (5, 8)])
 def test_orbit_counts_match_the_full_scan(k, n_max, monkeypatch):
     # a set that is its own reversed complement is counted over one member
-    # of each orbit; every other set over every involution
+    # of each orbit; every other set over the pairs, their images made as
+    # they are read, and the fixed involutions
     monkeypatch.setattr(avoidance, "_known", {})
-    singletons = [{sigma} for sigma in permutations(range(1, k + 1))]
-    pairs = {frozenset({sigma, reversed_complement(sigma)}) for (sigma,) in singletons}
+    s_k = list(permutations(range(1, k + 1)))
+    closed = {frozenset({sigma, reversed_complement(sigma)}) for sigma in s_k}
+    # neighbours in lexicographic order, mostly not their own image
+    other = {frozenset(two) for two in zip(s_k, s_k[1:])}
+    sets = [{sigma} for sigma in s_k] + [p for p in closed | other if len(p) == 2]
+    assert any(set(map(reversed_complement, p)) != p for p in other)
     for n in range(n_max + 1):
-        for patterns in singletons + [p for p in pairs if len(p) == 2]:
-            want = len(_avoiding_involutions(n, patterns))
+        # the oracle scans every involution of the pairing walk, which never
+        # reads the orbits, once per pattern
+        every = list(involutions(n))
+        hits = {sigma: [contains(pi, sigma) for pi in every] for sigma in s_k}
+        for patterns in sets:
+            want = sum(not any(found) for found in zip(*(hits[s] for s in patterns)))
             assert count_avoiders(n, patterns) == want, (n, patterns)
 
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_batch_counts_match_count_avoiders(k):
     reps = [cls[0] for cls in symmetry_classes(k)]
+    # the batch counts each pattern together with its reversed complement
+    assert any(reversed_complement(rep) != rep for rep in reps)
     for n in range(k, 10):
-        want = [count_avoiders(n, [rep]) for rep in reps]
+        # the oracle scans every involution of the pairing walk, which never
+        # reads the orbits
+        every = list(involutions(n))
+        want = [sum(not contains(pi, rep) for pi in every) for rep in reps]
         assert _avoider_counts(n, reps) == want
-    # interleaved shares of the involutions sum to the whole
-    shares = [_avoider_counts(n, reps, w, 3) for w in range(3)]
-    assert [sum(s) for s in zip(*shares)] == want
+        # interleaved shares of the orbits sum to the whole
+        for step in (2, 3):
+            shares = [_avoider_counts(n, reps, w, step) for w in range(step)]
+            assert [sum(s) for s in zip(*shares)] == want, (n, step)
+
+
+def test_a_count_holds_no_involutions_past_the_orbits(monkeypatch):
+    # the orbits are the only involution store: a count of a set that is
+    # not its own reversed complement scans the images of the pairs as it
+    # makes them and keeps none (the 17,692 images of 11 take about 1 MiB)
+    monkeypatch.setattr(avoidance, "_known", {})
+    for value in vars(perms).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    perms._rc_orbits(11)
+    sigma = (1, 3, 4, 2)
+    assert reversed_complement(sigma) != sigma
+    tracemalloc.start()
+    try:
+        count = count_avoiders(11, [sigma])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**18, held
+    # an involution contains sigma iff it contains sigma's inverse
+    assert count == count_avoiders(11, [inverse(sigma)])
 
 
 def test_batch_counts_do_not_depend_on_the_chunk(monkeypatch):

@@ -79,7 +79,7 @@ def test_a_repeated_classification_counts_nothing(monkeypatch, jobs):
     def count_nothing(*args):
         raise AssertionError("counted a cell already known")
 
-    monkeypatch.setattr(avoidance, "_avoiding_involutions", count_nothing)
+    monkeypatch.setattr(avoidance, "_avoiding", count_nothing)
     monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
     assert classify_sk(4, 8, jobs=jobs) == first
     assert count_avoiders(8, ["1234"]) == 323

@@ -407,10 +407,8 @@ def test_rc_orbits_partition_the_involution_list(n):
     parts = [*pairs, *fixed, *images]
     assert len(set(parts)) == len(parts)  # disjoint, no repeats within a part
     assert sorted(parts) == sorted(involutions(n))
-    # the rows are the three parts in order, and the list is their tuples
-    rows = perms._involution_rows(n)
-    assert all(type(row) is bytes for row in rows)
-    assert [tuple(row) for row in rows] == parts
+    assert all(type(row) is bytes for part in perms._rc_orbits(n) for row in part)
+    # the list is the three parts in order, as tuples
     assert involution_list(n) == tuple(parts)
 
 
@@ -429,9 +427,10 @@ def test_the_orbit_rows_take_at_most_64_bytes_each():
 
 
 def test_involution_list_holds_no_copy_of_the_rows():
-    # involution_list builds its tuples on each call; with a cache of its
-    # own, the 35,696 tuples of 11 would stay alive (about 5 MiB)
-    perms._involution_rows(11)
+    # involution_list builds its tuples and the images on each call; with
+    # a cache of its own, the 35,696 tuples of 11 would stay alive (about
+    # 5 MiB)
+    perms._rc_orbits(11)
     tracemalloc.start()
     try:
         assert len(involution_list(11)) == 35696

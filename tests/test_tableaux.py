@@ -34,6 +34,11 @@ def test_is_standard_rejects_bad_rows():
     assert not is_standard(((2, 3), (1,)))  # column not increasing
 
 
+@pytest.mark.parametrize("rows", [((1, "2"),), (("1",), (2,)), ((1, None),)], ids=repr)
+def test_is_standard_is_false_for_entries_that_do_not_compare(rows):
+    assert not is_standard(rows)
+
+
 def test_validate_tableau():
     with pytest.raises(InvalidTableauError):
         validate_tableau([[2, 1]])
@@ -80,6 +85,13 @@ def test_transpose_tableau():
     assert transpose_tableau(t) == ((1, 3), (2, 5), (4,))
     assert transpose_tableau(transpose_tableau(t)) == t
     assert transpose_tableau(()) == ()
+
+
+@pytest.mark.parametrize("rows", [((1,), (2, 3)), ((1, 2), (3,), (4, 5, 6))])
+def test_transpose_refuses_a_row_longer_than_the_one_above(rows):
+    # reading columns of the first row's length would drop the extra entries
+    with pytest.raises(InvalidTableauError, match="longer than the row above"):
+        transpose_tableau(rows)
 
 
 def test_rsk_known_value():
