@@ -19,13 +19,13 @@ from .perms import (
     _LEVELS_PER_FUNCTION,
     Perm,
     _matcher,
-    _rc_image,
     _rc_orbits,
     involution_list,
     pattern_of,
     perm_from_text,
     perm_to_text,
     reversed_complement,
+    validate_perm,
 )
 
 PatternSet = frozenset[Perm]
@@ -35,7 +35,7 @@ def pattern_set(patterns: Iterable) -> PatternSet:
     """Normalize an iterable of permutations/texts into a pattern set."""
     out = set()
     for p in patterns:
-        out.add(perm_from_text(p) if isinstance(p, str) else tuple(p))
+        out.add(perm_from_text(p) if isinstance(p, str) else validate_perm(p))
     if not out or any(len(p) == 0 for p in out):
         raise InvalidInputError("pattern set must be nonempty with nonempty patterns")
     return frozenset(out)
@@ -55,71 +55,70 @@ def _avoiding(found: Iterable[Sequence[int]], patterns) -> list:
     return found
 
 
-# the rows that _avoider_counts turns into tuples at a time: a matcher reads
-# its row as a tuple, so a chunk is converted once for all the units rather
-# than once a unit, and the rows are never all held as tuples
+# the rows that _scan turns into tuples at a time: a matcher reads its row
+# as a tuple, so a chunk is converted once for all the units rather than
+# once a unit, and the rows are never all held as tuples
 _CHUNK = 4096
 
 
-def _avoider_counts(
-    n: int, patterns: Sequence[Perm], start: int = 0, step: int = 1
-) -> list[int]:
-    """For each pattern, how many involutions of [n] avoid it, counted over
-    every step-th row from start of each part of perms._rc_orbits(n).  The
-    image of a pair avoids sigma iff the pair avoids the image of sigma, so
-    the pairs are scanned for the patterns and their reversed complements,
-    the fixed rows for the patterns alone.
+def _scan(rows: Sequence[bytes], cells: list[PatternSet]) -> list[int]:
+    """How many of the rows avoid each cell.
 
-    The patterns of a scan are matched in units: those that agree on the
-    standardised prefix of all but their last two entries share one
-    compiled matcher, which walks the loops of their common prefixes once
-    for all of them.  A pattern too long to nest with others is a unit of
-    its own.  Each unit counts the masks its matcher returns, and each mask
-    counts against every pattern whose bit it has.
+    The patterns of the one-pattern cells are matched in units: those that
+    agree on the standardised prefix of all but their last two entries
+    share one compiled matcher, which walks the loops of their common
+    prefixes once for all of them.  A pattern too long to nest with others
+    is a unit of its own.  Each unit counts the masks its matcher returns,
+    and each mask counts against every pattern whose bit it has.  A cell of
+    several patterns goes through the _avoiding filter.
+    """
+    singles = [sigma for cell in cells if len(cell) == 1 for sigma in cell]
+    units: dict = {}
+    for j, sigma in enumerate(singles):
+        key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
+        units.setdefault(key, []).append(j)
+    matchers = [_matcher(tuple(singles[j] for j in members)) for members in units.values()]
+    masks = [Counter() for _ in matchers]
+    for at in range(0, len(rows), _CHUNK):
+        chunk = rows[at : at + _CHUNK]
+        if len(matchers) > 1:  # a lone matcher reads the bytes itself
+            chunk = [*map(tuple, chunk)]
+        for match, found in zip(matchers, masks):
+            found.update(map(match, chunk))
+    avoiders = [len(rows)] * len(singles)
+    for members, found in zip(units.values(), masks):
+        for mask, count in found.items():
+            for bit, j in enumerate(members):
+                if mask >> bit & 1:
+                    avoiders[j] -= count
+    single = iter(avoiders)
+    return [next(single) if len(cell) == 1 else len(_avoiding(rows, cell)) for cell in cells]
+
+
+def _avoider_counts(
+    n: int, cells: Sequence[PatternSet], start: int = 0, step: int = 1
+) -> list[int]:
+    """For each pattern set, how many involutions of [n] avoid it, counted
+    over every step-th row from start of each part of perms._rc_orbits(n).
+
+    The image of a pair avoids S iff the pair avoids rc(S), so a cell
+    counts A(pairs, S) + A(pairs, rc S) + A(fixed, S): the pairs are
+    scanned once for the distinct cells and their images, which scans a
+    set that is its own image once, and the fixed rows for the cells alone.
     """
     pairs, fixed = (part[start::step] for part in _rc_orbits(n))
-    m = len(patterns)
-    avoiders = [2 * len(pairs) + len(fixed)] * m
-    with_images = [*patterns, *map(reversed_complement, patterns)]
-    for rows, scanned in ((pairs, with_images), (fixed, patterns)):
-        units: dict = {}
-        for j, sigma in enumerate(scanned):
-            key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
-            units.setdefault(key, []).append(j)
-        matchers = [_matcher(tuple(scanned[j] for j in members)) for members in units.values()]
-        masks = [Counter() for _ in matchers]
-        for at in range(0, len(rows), _CHUNK):
-            chunk = [*map(tuple, rows[at : at + _CHUNK])]
-            for match, found in zip(matchers, masks):
-                found.update(map(match, chunk))
-        for members, found in zip(units.values(), masks):
-            for mask, count in found.items():
-                for bit, j in enumerate(members):
-                    if mask >> bit & 1:
-                        avoiders[j % m] -= count
-    return avoiders
+    images = [frozenset(map(reversed_complement, cell)) for cell in cells]
+    scanned = [*dict.fromkeys([*cells, *images])]
+    in_pairs = dict(zip(scanned, _scan(pairs, scanned)))
+    return [
+        in_pairs[cell] + in_pairs[image] + count
+        for cell, image, count in zip(cells, images, _scan(fixed, cells))
+    ]
 
 
-# count_avoiders' in-process memo, (n, pattern set) -> count; classify
+# count_avoiders' in-process memo, (n, pattern set) -> count; _each_count
 # fills it a batch at a time
 _known: dict[tuple[int, PatternSet], int] = {}
-
-
-def _count_avoiders(n: int, patterns: PatternSet) -> int:
-    # the pairs of _rc_orbits(n), their images made as they are read, then
-    # the fixed rows; pi avoids sigma iff its image avoids sigma's, so a set
-    # that is its own image has as many avoiders in the images as the pairs
-    count = _known.get((n, patterns))
-    if count is None:
-        pairs, fixed = _rc_orbits(n)
-        count = len(_avoiding(pairs, patterns))
-        if set(map(reversed_complement, patterns)) == patterns:
-            count *= 2
-        else:
-            count += len(_avoiding(map(_rc_image(n), pairs), patterns))
-        count += len(_avoiding(fixed, patterns))
-        _known[n, patterns] = count
-    return count
 
 
 def _cell_key(patterns: PatternSet, n: int) -> str:
@@ -133,12 +132,12 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
     >>> count_avoiders(7, ["1234"])
     127
     """
-    if n < 0:
-        raise InvalidInputError("n must be >= 0")
+    if type(n) is not int or n < 0:
+        raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
     ps = pattern_set(patterns)
-    if store is not None:
-        return _each_count(n, [ps], store)[0]
-    return _count_avoiders(n, ps)
+    if store is None and (n, ps) in _known:
+        return _known[n, ps]
+    return _each_count(n, [ps], store)[0]
 
 
 def _each_count(
@@ -146,12 +145,11 @@ def _each_count(
 ) -> list[int]:
     """The avoider count at n of each pattern set.
 
-    The store is read once per cell.  When several cells are in neither it
-    nor the memo, they hold one pattern each and are counted as one batch
-    into the memo, split over jobs interleaved shares of the orbits when a
-    process pool is given.  Every cell is then read through count_avoiders,
-    which counts a lone miss itself, and the store gets one journal line
-    per cell it lacked.
+    The store is read once per cell.  The cells in neither it nor the memo
+    are counted by _avoider_counts as one batch into the memo, split over
+    jobs interleaved shares of the orbits when a process pool is given.
+    Every cell is then read back through count_avoiders, a memo hit, and
+    the store gets one journal line per cell it lacked.
     """
     keys = [_cell_key(cell, n) for cell in cells]
     stored = [None] * len(cells) if store is None else [store.get(key) for key in keys]
@@ -159,13 +157,12 @@ def _each_count(
         if count is not None:
             _known.setdefault((n, cell), count)
     todo = [cell for cell in cells if (n, cell) not in _known]
-    if len(todo) > 1:
-        patterns = [sigma for (sigma,) in todo]
+    if todo:
         if pool is None:
-            counts = _avoider_counts(n, patterns)
+            counts = _avoider_counts(n, todo)
         else:
             shares = pool.map(
-                _avoider_counts, repeat(n), repeat(patterns, jobs), range(jobs), repeat(jobs)
+                _avoider_counts, repeat(n), repeat(todo, jobs), range(jobs), repeat(jobs)
             )
             counts = [sum(cell) for cell in zip(*shares)]
         for cell, count in zip(todo, counts):
@@ -200,8 +197,8 @@ def count_avoiders_with_column_constraint(
     >>> count_avoiders_with_column_constraint(3, ["123"], (1, 2), "left", 3)
     1
     """
-    if not 0 <= i <= n:
-        raise InvalidInputError(f"i must be in 0..{n}, got {i}")
+    if type(n) is not int or not 0 <= i <= n:
+        raise InvalidInputError(f"need an integer n and i in 0..n, got n = {n!r}, i = {i!r}")
     if side not in ("left", "right"):
         raise InvalidInputError("side must be 'left' or 'right'")
     window = slice(0, i) if side == "left" else slice(n - i, n)

@@ -24,7 +24,7 @@ from invpat.avoidance import (
     pattern_set_key,
 )
 from invpat.classify import symmetry_classes
-from invpat.errors import InvalidInputError, InvalidShapeError
+from invpat.errors import InvalidInputError, InvalidShapeError, InvalidWordError
 from invpat.perms import contains, inverse, involutions, pattern_of, reversed_complement
 
 
@@ -34,6 +34,16 @@ def test_pattern_set_normalizes_and_rejects_empty():
         pattern_set([])
     with pytest.raises(InvalidInputError):
         pattern_set([""])
+
+
+@pytest.mark.parametrize("pattern", [(2, 3), (1, 1), (0, 1), (1, True)])
+def test_a_tuple_that_is_no_permutation_is_refused(pattern):
+    with pytest.raises(InvalidWordError):
+        pattern_set([pattern])
+    with pytest.raises(InvalidWordError):
+        count_avoiders(5, [pattern])
+    with pytest.raises(InvalidWordError):
+        lambda_sym((3, 3, 3), [pattern])
 
 
 def test_pattern_set_key_uses_semicolons():
@@ -47,6 +57,14 @@ def test_count_avoiders_small_values():
     assert count_avoiders(0, ["12"]) == 1
     assert count_avoiders(3, ["123"]) == 3
     assert count_avoiders(4, ["4321"]) == 9
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", None, -1])
+def test_a_bad_n_is_refused(n):
+    with pytest.raises(InvalidInputError, match="n"):
+        count_avoiders(n, ["12"])
+    with pytest.raises(InvalidInputError, match="n"):
+        count_avoiders_with_column_constraint(n, ["12"], (1, 2), "left", 0)
 
 
 def test_single_pattern_counts_match_closed_forms():
@@ -108,27 +126,41 @@ def test_orbit_counts_match_the_full_scan(k, n_max, monkeypatch):
             assert count_avoiders(n, patterns) == want, (n, patterns)
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_batch_counts_match_count_avoiders(k):
+def _mixed_cells(k):
+    # one pattern per symmetry class, two-pattern sets that are and are not
+    # their own reversed complement, and a repeated cell
     reps = [cls[0] for cls in symmetry_classes(k)]
+    s_k = list(permutations(range(1, k + 1)))
+    closed = [frozenset({s, reversed_complement(s)}) for s in s_k[::5]]
+    other = [frozenset(two) for two in zip(s_k[::7], s_k[1::7])]
+    cells = [frozenset([rep]) for rep in reps] + [c for c in closed + other if len(c) == 2]
+    assert any(frozenset(map(reversed_complement, c)) == c for c in cells[len(reps) :])
+    assert any(frozenset(map(reversed_complement, c)) != c for c in cells[len(reps) :])
     # the batch counts each pattern together with its reversed complement
     assert any(reversed_complement(rep) != rep for rep in reps)
+    return cells + cells[:1] + cells[-1:]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_batch_counts_match_count_avoiders(k):
+    cells = _mixed_cells(k)
     for n in range(k, 10):
         # the oracle scans every involution of the pairing walk, which never
         # reads the orbits
         every = list(involutions(n))
-        want = [sum(not contains(pi, rep) for pi in every) for rep in reps]
-        assert _avoider_counts(n, reps) == want
+        want = [sum(not any(contains(pi, s) for s in cell) for pi in every) for cell in cells]
+        assert _avoider_counts(n, cells) == want
         # interleaved shares of the orbits sum to the whole
         for step in (2, 3):
-            shares = [_avoider_counts(n, reps, w, step) for w in range(step)]
+            shares = [_avoider_counts(n, cells, w, step) for w in range(step)]
             assert [sum(s) for s in zip(*shares)] == want, (n, step)
 
 
 def test_a_count_holds_no_involutions_past_the_orbits(monkeypatch):
     # the orbits are the only involution store: a count of a set that is
-    # not its own reversed complement scans the images of the pairs as it
-    # makes them and keeps none (the 17,692 images of 11 take about 1 MiB)
+    # not its own reversed complement scans the pairs for the set and its
+    # image and keeps no image of a row (the 17,692 images of 11 would take
+    # about 1 MiB)
     monkeypatch.setattr(avoidance, "_known", {})
     for value in vars(perms).values():
         if hasattr(value, "cache_clear"):
@@ -147,19 +179,38 @@ def test_a_count_holds_no_involutions_past_the_orbits(monkeypatch):
     assert count == count_avoiders(11, [inverse(sigma)])
 
 
+@pytest.mark.parametrize("patterns", [["1342"], ["1342", "2413"]])
+def test_a_count_makes_no_image_of_a_row(patterns, monkeypatch):
+    # the images of the pairs avoid S as often as the pairs avoid rc(S), so
+    # once the orbits are built a count reads no reversed complement of a row
+    monkeypatch.setattr(avoidance, "_known", {})
+    cell = pattern_set(patterns)
+    assert frozenset(map(reversed_complement, cell)) != cell
+    perms._rc_orbits(9)
+
+    def refuse(n):
+        raise AssertionError("made the images of the rows")
+
+    for module in (perms, avoidance):
+        monkeypatch.setattr(module, "_rc_image", refuse, raising=False)
+    want = sum(not any(contains(pi, s) for s in cell) for pi in involutions(9))
+    assert count_avoiders(9, patterns) == want
+
+
 def test_batch_counts_do_not_depend_on_the_chunk(monkeypatch):
     # 764 rows at n = 8, read 7 at a time: the last chunk is short
-    reps = [cls[0] for cls in symmetry_classes(4)]
-    want = [count_avoiders(8, [rep]) for rep in reps]
+    cells = _mixed_cells(4)
+    want = [count_avoiders(8, cell) for cell in cells]
     monkeypatch.setattr(avoidance, "_CHUNK", 7)
-    assert _avoider_counts(8, reps) == want
-    shares = [_avoider_counts(8, reps, w, 3) for w in range(3)]
+    assert _avoider_counts(8, cells) == want
+    shares = [_avoider_counts(8, cells, w, 3) for w in range(3)]
     assert [sum(s) for s in zip(*shares)] == want
 
 
 def test_batch_gives_a_long_pattern_a_unit_of_its_own():
     long = tuple(range(17, 0, -1))
-    assert _avoider_counts(6, [(1, 2), long, (2, 1), long, (1, 3, 2)]) == [1, 76, 1, 76, 20]
+    cells = [frozenset([sigma]) for sigma in [(1, 2), long, (2, 1), long, (1, 3, 2)]]
+    assert _avoider_counts(6, cells) == [1, 76, 1, 76, 20]
 
 
 def test_hook_length_sum_matches_closed_forms():

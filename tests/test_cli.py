@@ -285,10 +285,10 @@ def test_store_path_that_is_a_directory_is_refused(tmp_path, capsys):
 def test_store_path_in_a_missing_directory_is_refused(tmp_path, capsys, monkeypatch):
     from invpat import avoidance
 
-    def count_nothing(n, patterns):
+    def count_nothing(*args):
         raise AssertionError("counted before the store path was checked")
 
-    monkeypatch.setattr(avoidance, "_count_avoiders", count_nothing)
+    monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
     path = tmp_path / "nodir" / "x.store"
     argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(path), "--no-timing"]
     assert run(argv) == 2
