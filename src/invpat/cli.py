@@ -78,7 +78,13 @@ def _placement_arg(args) -> boards.Placement:
 
 def _store(args) -> CountStore | None:
     path = args.cache or os.environ.get(CACHE_ENV)
-    return CountStore(path) if path else None
+    store = CountStore(path) if path else None
+    # classify and table count in this process whenever a store is given,
+    # whatever --jobs says; a run that asked for workers is told so
+    if store is not None and getattr(args, "jobs", 1) > 1:
+        note = f"--jobs {args.jobs} is ignored with a count store; counting in one process"
+        print(f"note: {note}", file=sys.stderr)
+    return store
 
 
 # -- subcommand handlers -----------------------------------------------------

@@ -13,9 +13,11 @@ rows, split into six cases by the height w of the dot in column i+j:
   V    w in the window, diagonal dots   -- merge/split of diagonal dots
   VI   w < i                            -- cyclic reseat
 
-All of II, III, IV, and VI use the same rearrangement (conjugating by a
-pair of cycles on the window indices); only V needs surgery, because a
-fixed point of the placement's pairing must trade places with a 2-cycle.
+Each case but I is one relabelling: a map of the window columns applied to
+both axes, with a few special dots sent to their own targets.  II, III, IV,
+and VI share one map (a pair of cycles on the window indices); V adds the
+special dots, because a fixed point of the placement's pairing must trade
+places with a 2-cycle.  The inverse builds the same maps and inverts them.
 
 Also here: trimming a non-square shape's outer frame, and the dot-position
 statistics tied together by that trimming.
@@ -29,6 +31,7 @@ from .boards import Placement, Shape
 from .errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
 
 Move = tuple[tuple[int, int], tuple[int, int], str]
+_Special = dict[boards.Box, tuple[tuple[boards.Box, ...], str]]
 
 
 def inner_shape(shape: Shape) -> Shape:
@@ -165,68 +168,54 @@ def classify_slide_case(ctx: SlideContext) -> str:
     return "VI"
 
 
-def _apply_index_map(p: Placement, imap: dict[int, int], label: str):
+def _relabel(p: Placement, coords: dict[int, int], special: _Special, label: str):
+    # Every dot moves by the column map applied to both axes, traced under
+    # label; a special dot goes to its own targets under its own label.
     moves: list[Move] = []
     new_dots = set()
-    for x, y in p.dots:
-        nx, ny = imap.get(x, x), imap.get(y, y)
-        new_dots.add((nx, ny))
-        if (nx, ny) != (x, y):
-            moves.append(((x, y), (nx, ny), label))
+    for dot in p.dots:
+        x, y = dot
+        moved = ((coords.get(x, x), coords.get(y, y)),)
+        targets, name = special.get(dot, (moved, label))
+        new_dots.update(targets)
+        moves += [(dot, to, name) for to in targets if to != dot]
     return Placement(p.shape, frozenset(new_dots)), moves
 
 
-def _cyclic_reseat(p: Placement, ctx: SlideContext):
+def _reseat_map(i: int, j: int, v: int) -> dict[int, int]:
     # v rightmost window dots sit above w; the window contents rotate so
     # that the lowest of those lands in column i and w's dot re-enters the
     # window one past it.  Applied to rows as well, symmetry is automatic.
-    i, j, w = ctx.i, ctx.j, ctx.w
-    window = sorted(ctx.below + ctx.on_diag + ctx.above)
-    v = sum(1 for _, y in window if y > w)
+    imap = {col: col + 1 for col in range(i, i + j)}
+    imap.update({i + j - v: i, i + j: i + j - v + 1})
+    return imap
+
+
+def _cyclic_reseat(p: Placement, ctx: SlideContext):
+    v = sum(1 for _, y in ctx.below + ctx.on_diag + ctx.above if y > ctx.w)
     if v < 1:
-        raise InvalidPlacementError(f"no window dot lies above w={w} to reseat")
-    imap: dict[int, int] = {i + j - v: i, i + j: i + j - v + 1}
-    for col in range(i, i + j):
-        if col != i + j - v:
-            imap[col] = col + 1
-    return _apply_index_map(p, imap, "reseat")
+        raise InvalidPlacementError(f"no window dot lies above w={ctx.w} to reseat")
+    return _relabel(p, _reseat_map(ctx.i, ctx.j, v), {}, "reseat")
+
+
+def _merge_split_maps(i: int, j: int, w: int, b1: int, stepped: list[int]):
+    # The mirror pair at (i+j, w) / (w, i+j) merges onto the diagonal and
+    # the lowest diagonal dot (b1, b1) splits into a mirror pair, so the
+    # pairing's cycle type is preserved.  Every other window column steps
+    # one to the right, the other diagonal dots (stepped) among them.
+    coords = {col: col + 1 for col in range(i, i + j) if col not in (b1, w)}
+    special: _Special = {(c, c): (((c + 1, c + 1),), "diagonal-step") for c in stepped}
+    special[b1, b1] = ((i, b1 + 1), (b1 + 1, i)), "split"
+    special[i + j, w] = special[w, i + j] = ((w + 1, w + 1),), "merge"
+    return coords, special
 
 
 def _merge_split(p: Placement, ctx: SlideContext):
-    # w sits in the window and there are diagonal dots: the mirror pair at
-    # (i+j, w) / (w, i+j) merges onto the diagonal and the lowest diagonal
-    # dot splits into a mirror pair, so the pairing's cycle type is
-    # preserved.  Everything else shifts one step.
-    i, j, w = ctx.i, ctx.j, ctx.w
-    below_cols = [x for x, _ in ctx.below]
-    above_cols = [x for x, _ in ctx.above]
-    if not above_cols or above_cols[0] != w:
-        raise InvalidPlacementError(f"w={w} is not the leftmost above-diagonal dot")
-    shift = set(below_cols) | set(above_cols[1:])
-    diag_cols = [x for x, _ in ctx.on_diag]
-    b1 = diag_cols[0]
-
-    moves: list[Move] = []
-    new_dots = set()
-    for x, y in p.dots:
-        if (x, y) in ((i + j, w), (w, i + j)):
-            new_dots.add((w + 1, w + 1))
-            moves.append(((x, y), (w + 1, w + 1), "merge"))
-        elif (x, y) == (b1, b1):
-            new_dots.add((i, b1 + 1))
-            new_dots.add((b1 + 1, i))
-            moves.append(((x, y), (i, b1 + 1), "split"))
-            moves.append(((x, y), (b1 + 1, i), "split"))
-        elif x == y and x in diag_cols:
-            new_dots.add((x + 1, y + 1))
-            moves.append(((x, y), (x + 1, y + 1), "diagonal-step"))
-        else:
-            nx = x + 1 if x in shift else x
-            ny = y + 1 if y in shift else y
-            new_dots.add((nx, ny))
-            if (nx, ny) != (x, y):
-                moves.append(((x, y), (nx, ny), "shift"))
-    return Placement(p.shape, frozenset(new_dots)), moves
+    # w sits in the window and there are diagonal dots.
+    if [x for x, _ in ctx.above[:1]] != [ctx.w]:
+        raise InvalidPlacementError(f"w={ctx.w} is not the leftmost above-diagonal dot")
+    b1, *stepped = [x for x, _ in ctx.on_diag]
+    return _relabel(p, *_merge_split_maps(ctx.i, ctx.j, ctx.w, b1, stepped), "shift")
 
 
 def _ensure(holds: bool, failure: str) -> None:
@@ -283,49 +272,29 @@ def slide_inverse_with_trace(p: Placement, i: int, j: int):
     if all(y > u for _, y in window):
         return p, []  # image of the identity case
 
-    diag = sorted(x for x, y in window if x == y)
+    diag = [x for x, y in window if x == y]
     if i < u <= i_j and diag:
         # invert the merge/split: the highest diagonal dot in the shifted
-        # window came from the merge, the column-i mirror pair from the
-        # split, and the rest slid one step.
-        merged = diag[-1]
-        stepped = set(diag[:-1])
-        n_below = sum(1 for x, y in window if y < x)
-        shift = set(range(i + 1, i + n_below)) | set(range(merged + 1, i_j + 1))
-        moves: list[Move] = []
-        new_dots = set()
-        for x, y in p.dots:
-            if (x, y) in ((i, u), (u, i)):
-                new_dots.add((u - 1, u - 1))
-                moves.append(((x, y), (u - 1, u - 1), "split"))
-            elif (x, y) == (merged, merged):
-                new_dots.add((merged - 1, i_j))
-                new_dots.add((i_j, merged - 1))
-                moves.append(((x, y), (merged - 1, i_j), "merge"))
-                moves.append(((x, y), (i_j, merged - 1), "merge"))
-            elif x == y and x in stepped:
-                new_dots.add((x - 1, y - 1))
-                moves.append(((x, y), (x - 1, y - 1), "diagonal-step"))
-            else:
-                nx = x - 1 if x in shift else x
-                ny = y - 1 if y in shift else y
-                new_dots.add((nx, ny))
-                if (nx, ny) != (x, y):
-                    moves.append(((x, y), (nx, ny), "shift"))
-        out = Placement(p.shape, frozenset(new_dots))
+        # window is the merged one at w+1, the column-i mirror pair is the
+        # split of (u-1, u-1), and the other diagonal dots stepped.
+        stepped = [x - 1 for x in diag[:-1]]
+        coords, special = _merge_split_maps(i, j, diag[-1] - 1, u - 1, stepped)
+        label = "shift"
     else:
         # invert the cyclic reseat: the largest window height below u marks
         # where the column-(i+j) dot was reseated, which recovers v.
-        candidates = [x for x, y in window if y < u]
-        if not candidates:
+        below_u = [(y, x) for x, y in window if y < u]
+        if not below_u:
             raise InvalidInputError("placement is not in the image of the slide")
-        reseated = max(((y, x) for x, y in window if y < u))[1]
-        v = i_j - reseated + 1
-        imap: dict[int, int] = {i: i_j - v, i_j - v + 1: i_j}
-        for col in range(i + 1, i_j + 1):
-            if col != i_j - v + 1:
-                imap[col] = col - 1
-        out, moves = _apply_index_map(p, imap, "reseat")
+        coords, special = _reseat_map(i, j, i_j - max(below_u)[1] + 1), {}
+        label = "reseat"
+    # each target of a special dot goes back to its source (or sources, for
+    # a merge) under the same label
+    back: _Special = {}
+    for src, (targets, name) in special.items():
+        for to in targets:
+            back[to] = (back.get(to, ((), name))[0] + (src,), name)
+    out, moves = _relabel(p, {new: old for old, new in coords.items()}, back, label)
 
     _ensure(boards.is_symmetric(out), "is not symmetric")
     _ensure(boards.is_full(out), "is not full")

@@ -1,7 +1,8 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
 import pytest
 
-from invpat import boards, checks
+from invpat import boards, checks, slide
+from invpat.cli import run
 from invpat.errors import InvalidInputError
 
 
@@ -37,6 +38,34 @@ def test_flank_recurrence_sweep():
 
 def test_slide_sweep():
     _all_pass(checks.check_slide_bijection(5))
+
+
+_MERGE_SPLIT_MAPS = slide._merge_split_maps
+
+
+def _merge_split_dropping_a_column(i, j, w, b1, stepped):
+    coords, special = _MERGE_SPLIT_MAPS(i, j, w, b1, stepped)
+    if coords:
+        coords.pop(max(coords))
+    return coords, special
+
+
+@pytest.mark.parametrize(
+    "name, fault, error",
+    [
+        ("_merge_split", slide._cyclic_reseat, "slide output contains 321"),
+        ("_merge_split_maps", _merge_split_dropping_a_column, "two dots share a row"),
+    ],
+)
+def test_a_faulty_slide_fails_the_sweep_with_exit_1(monkeypatch, capsys, name, fault, error):
+    # The inverse is built from the same maps as the slide, so a wrong map
+    # round-trips; the sweep must still fail it, as a check and not as bad input.
+    monkeypatch.setattr(slide, name, fault)
+    failed = [r for r in checks.check_slide_bijection(5) if not r["pass"]]
+    assert failed and all(error in r["rhs"] for r in failed)
+    assert run(["verify", "--check", "slide", "--max-side", "5", "--no-timing"]) == 1
+    record = "FAIL slide-bijection shape=5,5,5,5,5 i=1 j=3: 4 vs InvalidPlacementError: "
+    assert record + error in capsys.readouterr().out
 
 
 def _evacuated_shapes(records):

@@ -273,6 +273,27 @@ def test_bad_jobs_is_a_usage_error(capsys, jobs, message):
     assert "--jobs" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["classify --k 3 --n-max 7", "table --id T1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_jobs_with_a_store_counts_in_one_process_and_says_so(
+    tmp_path, capsys, monkeypatch, command, source
+):
+    argv = command.split() + ["--no-timing"]
+    assert run(argv + ["--jobs", "1"]) == 0
+    serial, _ = out_of(capsys)
+    path = tmp_path / "counts.store"
+    if source == "flag":
+        argv += ["--cache", str(path)]
+    else:
+        monkeypatch.setenv("INVPAT_CACHE", str(path))
+    assert run(argv + ["--jobs", "3"]) == 0
+    out, err = out_of(capsys)
+    assert out == serial
+    assert err == "note: --jobs 3 is ignored with a count store; counting in one process\n"
+    assert run(argv + ["--jobs", "1"]) == 0  # one worker asked for, nothing to say
+    assert out_of(capsys) == (serial, "")
+
+
 def test_store_path_that_is_a_directory_is_refused(tmp_path, capsys):
     argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(tmp_path), "--no-timing"]
     assert run(argv) == 2

@@ -26,6 +26,15 @@ GOLDEN = {
     "rsk_perm_42513.json": "rsk --perm 42513 --format json",
     "rsk_p_12_3_q_13_2.txt": "rsk --p 1,2/3 --q 1,3/2",
     "rsk_p_12_3_q_13_2.json": "rsk --p 1,2/3 --q 1,3/2 --format json",
+    # the move labels of case V (merge/split) and case IV (reseat), both ways
+    "slide_perm_1324_i_1_j_2_trace.txt": "slide --perm 1324 --i 1 --j 2 --trace",
+    "slide_perm_2134_i_1_j_2_inverse_trace.txt": (
+        "slide --perm 2134 --i 1 --j 2 --inverse --trace"
+    ),
+    "slide_perm_2143_i_2_j_2_trace.txt": "slide --perm 2143 --i 2 --j 2 --trace",
+    "slide_perm_3412_i_2_j_2_inverse_trace.txt": (
+        "slide --perm 3412 --i 2 --j 2 --inverse --trace"
+    ),
 }
 
 
