@@ -60,7 +60,13 @@ def conjugate(shape: Shape) -> Shape:
 
 
 def is_self_conjugate(shape: Shape) -> bool:
-    return conjugate(shape) == tuple(shape)
+    return _is_self_conjugate(tuple(shape))
+
+
+@cache
+def _is_self_conjugate(shape: Shape) -> bool:
+    # the sweeps ask this of the same few shapes on every placement
+    return conjugate(shape) == shape
 
 
 def box_in_shape(shape: Shape, x: int, y: int) -> bool:

@@ -26,6 +26,11 @@ def _record(check: str, params: str, lhs, rhs, ok: bool | None = None) -> dict:
     }
 
 
+def _error(exc: ValueError) -> str:
+    """A library fault met inside a sweep, as the rhs of its failing record."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _partitions_in_box(side: int):
     def rec(prefix: list[int], cap: int):
         yield tuple(prefix)
@@ -85,7 +90,8 @@ def _prefixes(j: int):
 def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
     """Containment of prefix+suffix patterns on the parent board agrees
     with containment of the bare prefix on the reduced board, for every
-    placement, prefix, and small suffix set.
+    placement, prefix, and small suffix set.  An error raised by the
+    reduction fails the records of its suffix set, which name it.
     """
     records = []
     shapes = sorted(s for s in boards.enumerate_self_conjugate_shapes(max_side) if s)
@@ -97,11 +103,15 @@ def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
                 # boards depend on (placement, t), patterns on (prefix, t)
                 patterns = [t.patterns_with_prefix(sigma) for sigma in prefixes]
                 goods = [0] * len(prefixes)
-                for p in placements:
-                    rb = reduction.suffix_reduction(mu, p, t)
-                    for i, (sigma, pats) in enumerate(zip(prefixes, patterns)):
-                        if reduction.verify_reduction_equivalence(p, rb, sigma, pats):
-                            goods[i] += 1
+                expect = len(placements)
+                try:
+                    for p in placements:
+                        rb = reduction.suffix_reduction(mu, p, t)
+                        for i, (sigma, pats) in enumerate(zip(prefixes, patterns)):
+                            if reduction.verify_reduction_equivalence(p, rb, sigma, pats):
+                                goods[i] += 1
+                except ValueError as exc:
+                    expect = _error(exc)  # a count never equals it
                 for sigma, good in zip(prefixes, goods):
                     records.append(
                         _record(
@@ -110,7 +120,7 @@ def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
                             f"sigma={perm_to_text(sigma)} "
                             f"suffixes={sorted(t.suffixes)}",
                             good,
-                            len(placements),
+                            expect,
                         )
                     )
     return records
@@ -119,7 +129,8 @@ def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
 def check_class_decomposition(max_side: int = 4) -> list[dict]:
     """Grouping placements by their dots outside the reduced board splits
     the board into classes on which both prefixes count alike, making the
-    total avoider counts for exchanged prefixes equal.
+    total avoider counts for exchanged prefixes equal; an error raised
+    there fails the record, which names it.
     """
     records = []
     shapes = sorted(s for s in boards.enumerate_self_conjugate_shapes(max_side) if s)
@@ -127,10 +138,14 @@ def check_class_decomposition(max_side: int = 4) -> list[dict]:
     for mu in shapes:
         for j, (alpha, beta) in pairs.items():
             for t in _suffix_sets(j):
-                ok = reduction.class_decomposition_check(mu, t, alpha, beta)
                 placements = boards.symmetric_full_placements(mu)
                 total_a = len(boards.avoiding(placements, t.patterns_with_prefix(alpha)))
                 total_b = len(boards.avoiding(placements, t.patterns_with_prefix(beta)))
+                try:
+                    ok = reduction.class_decomposition_check(mu, t, alpha, beta)
+                    rhs = total_b
+                except ValueError as exc:
+                    ok, rhs = False, _error(exc)
                 records.append(
                     _record(
                         "class-decomposition",
@@ -138,7 +153,7 @@ def check_class_decomposition(max_side: int = 4) -> list[dict]:
                         f"alpha={perm_to_text(alpha)} beta={perm_to_text(beta)} "
                         f"suffixes={sorted(t.suffixes)}",
                         total_a,
-                        total_b,
+                        rhs,
                         ok and total_a == total_b,
                     )
                 )
@@ -289,9 +304,8 @@ def check_slide_bijection(max_side: int = 6) -> list[dict]:
                         )
                     )
                 except ValueError as exc:
-                    error = f"{type(exc).__name__}: {exc}"
                     records.append(
-                        _record("slide-bijection", params, len(domain), error, False)
+                        _record("slide-bijection", params, len(domain), _error(exc), False)
                     )
                     continue
                 records.append(

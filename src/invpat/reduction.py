@@ -1,23 +1,24 @@
 """Reducing a symmetric full placement by a set of pattern suffixes.
 
 Given a symmetric full placement on a self-conjugate shape and a set of
-suffixes (orderings of j+1..k), the boxes strictly southwest of some
-suffix occurrence, together with their mirror images, form a self-conjugate
-subshape.  Deleting its dotless rows and columns leaves a smaller
-self-conjugate board carrying a symmetric full placement.  Containment of a
-length-j involution prefix on that board is equivalent to containment of
-the full prefix+suffix patterns on the original board, which is what makes
-prefix exchange work.
+suffixes (orderings of j+1..k), a box is marked when the dots strictly
+northeast of it contain some suffix pattern whose box fits in the shape.
+The marked boxes form a Ferrers shape, whose column heights one staircase
+walk of the compiled board matcher finds.  Joined with its mirror image and
+cut to the shape, the marked region is a self-conjugate subshape; deleting
+its dotless rows and columns leaves a smaller self-conjugate board carrying
+a symmetric full placement.  Containment of a length-j involution prefix on
+that board is equivalent to containment of the full prefix+suffix patterns
+on the original board, which is what makes prefix exchange work.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import boards
 from .boards import Placement, Shape
 from .errors import InvalidInputError, InvalidPatternError, InvalidPlacementError
-from .perms import Perm, is_involution
+from .perms import Perm, _matcher, is_involution, pattern_of
 
 
 @dataclass(frozen=True)
@@ -64,36 +65,28 @@ class ReducedBoard:
 
     def parent_boxes(self) -> frozenset[tuple[int, int]]:
         """Boxes of the parent board corresponding to boxes of the shape."""
-        out = set()
-        for s, y in enumerate(self.kept_rows, start=1):
-            for r in range(1, (self.shape[s - 1] if s <= len(self.shape) else 0) + 1):
-                out.add((self.kept_columns[r - 1], y))
-        return frozenset(out)
+        rows = zip(self.kept_rows, self.shape)
+        return frozenset((self.kept_columns[r], y) for y, part in rows for r in range(part))
 
 
-def _suffix_corners(p: Placement, t: SuffixSet) -> set[tuple[int, int]]:
-    # For each occurrence of a suffix pattern (bounded by a rectangle of the
-    # shape), record the box just southwest of all its dots.  Only these
-    # corners matter; the marked region is the union of their rectangles.
-    # Dots sit in distinct rows, so an m-subset of dots (sorted by column)
-    # forms tau exactly when its heights, read at tau's positions in order
-    # of increasing value, strictly increase.
-    corners: set[tuple[int, int]] = set()
+def _marked_heights(p: Placement, t: SuffixSet) -> list[int]:
+    # The heights of columns 1..n of the marked region.  Each column is no
+    # taller than the one before, so y only comes down: at most 2n matcher
+    # calls.  p is full, so dots[x:] are the dots right of column x.
+    matchers = [_matcher((pattern_of(tau),), board=True) for tau in t.suffixes]
     dots = sorted(p.dots)
-    for tau in t.suffixes:
-        by_value = sorted(range(len(tau)), key=tau.__getitem__)
-        low, high = by_value[0], by_value[-1]
-        pairs = list(zip(by_value, by_value[1:]))
-        for combo in combinations(dots, len(tau)):
-            if any(combo[a][1] >= combo[b][1] for a, b in pairs):
-                continue
-            if not boards.box_in_shape(p.shape, combo[-1][0], combo[high][1]):
-                continue
-            cx = combo[0][0] - 1
-            cy = combo[low][1] - 1
-            if cx >= 1 and cy >= 1:
-                corners.add((cx, cy))
-    return corners
+
+    def marked(x: int, y: int) -> bool:
+        northeast = [d for d in dots[x:] if d[1] > y]
+        return any(match(northeast, p.shape) for match in matchers)
+
+    heights = []
+    y = len(p.shape)
+    for x in range(1, len(p.shape) + 1):
+        while y and not marked(x, y):
+            y -= 1
+        heights.append(y)
+    return heights
 
 
 def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
@@ -110,39 +103,25 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
     if p.shape != mu or not boards.is_symmetric(p) or not boards.is_full(p):
         raise InvalidPlacementError("placement must be symmetric and full on mu")
 
-    corners = _suffix_corners(p, t)
-    corners |= {(b, a) for a, b in corners}
-    # column x of the marked region reaches height h(x); union of rectangles
-    heights = [0] * (len(mu) + 1)
-    for a, b in corners:
-        for x in range(1, a + 1):
-            heights[x] = max(heights[x], b)
-    # mu is self-conjugate, so column x of mu has height mu[x - 1]
-    region = [min(heights[x], mu[x - 1]) for x in range(1, len(mu) + 1)]
+    heights = _marked_heights(p, t)
+    # joined with its mirror image and cut to mu, whose column x is mu[x - 1] high
+    mirror = boards.conjugate(heights) + (0,) * len(mu)
+    region = [min(max(h, m), top) for h, m, top in zip(heights, mirror, mu)]
+    inside = [(x, y) for x, y in p.dots if y <= region[x - 1]]
 
-    def in_region(x: int, y: int) -> bool:
-        return 1 <= x <= len(region) and 1 <= y <= region[x - 1]
-
-    kept_cols = tuple(sorted(x for x, y in p.dots if in_region(x, y)))
-    kept_rows = tuple(sorted(y for x, y in p.dots if in_region(x, y)))
+    kept_cols = tuple(sorted(x for x, _ in inside))
+    kept_rows = tuple(sorted(y for _, y in inside))
     if kept_cols != kept_rows:
         raise InvalidPlacementError(
             f"reduced board keeps columns {kept_cols} but rows {kept_rows}"
         )
 
-    col_rank = {x: r for r, x in enumerate(kept_cols, start=1)}
-    row_rank = {y: s for s, y in enumerate(kept_rows, start=1)}
     # row s of the new shape is kept_rows[s-1], cut to the kept columns
     shape = boards.validate_shape(
-        sum(1 for x in kept_cols if in_region(x, y)) for y in kept_rows
+        sum(1 for x in kept_cols if y <= region[x - 1]) for y in kept_rows
     )
-
-    induced = Placement(
-        shape,
-        frozenset(
-            (col_rank[x], row_rank[y]) for x, y in p.dots if in_region(x, y)
-        ),
-    )
+    rank = {v: r for r, v in enumerate(kept_cols, start=1)}
+    induced = Placement(shape, frozenset((rank[x], rank[y]) for x, y in inside))
     if not boards.is_symmetric(induced):
         raise InvalidPlacementError(f"induced placement is not symmetric: {induced}")
     if not boards.is_full(induced):

@@ -1,9 +1,9 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
 import pytest
 
-from invpat import boards, checks, slide
+from invpat import boards, checks, reduction, slide
 from invpat.cli import run
-from invpat.errors import InvalidInputError
+from invpat.errors import InvalidInputError, InvalidPlacementError
 
 
 def _all_pass(records):
@@ -66,6 +66,40 @@ def test_a_faulty_slide_fails_the_sweep_with_exit_1(monkeypatch, capsys, name, f
     assert run(["verify", "--check", "slide", "--max-side", "5", "--no-timing"]) == 1
     record = "FAIL slide-bijection shape=5,5,5,5,5 i=1 j=3: 4 vs InvalidPlacementError: "
     assert record + error in capsys.readouterr().out
+
+
+def test_reduced_boards_one_row_short_fail_both_sweeps(monkeypatch):
+    # planted fault: every column of the marked region one box lower
+    marked_heights = reduction._marked_heights
+    monkeypatch.setattr(
+        reduction, "_marked_heights", lambda p, t: [max(h - 1, 0) for h in marked_heights(p, t)]
+    )
+    records = checks.check_reduction_equivalence(5)
+    assert (sum(not r["pass"] for r in records), len(records)) == (161, 1302)
+    records = checks.check_class_decomposition(4)
+    assert (sum(not r["pass"] for r in records), len(records)) == (12, 180)
+
+
+def test_a_faulty_reduction_fails_the_sweeps_with_exit_1(monkeypatch, capsys):
+    real = reduction.suffix_reduction
+    identity = boards.graph_of((1, 2, 3))
+
+    def suffix_reduction(mu, p, t):
+        if p == identity:
+            raise InvalidPlacementError("planted")
+        return real(mu, p, t)
+
+    monkeypatch.setattr(reduction, "suffix_reduction", suffix_reduction)
+    error = "InvalidPlacementError: planted"
+    for sweep in (checks.check_reduction_equivalence, checks.check_class_decomposition):
+        failed = [r for r in sweep(3) if not r["pass"]]
+        assert failed and all(r["rhs"] == error for r in failed)
+        assert all(r["params"].startswith("mu=3,3,3 ") for r in failed)
+    argv = ["verify", "--check", "reduction,decomposition", "--max-side", "3", "--no-timing"]
+    assert run(argv) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL reduction-equivalence mu=3,3,3 sigma=1 suffixes=[(2,)]: 0 vs {error}" in out
+    assert f"FAIL class-decomposition mu=3,3,3 alpha=12 beta=21 suffixes=[(3,)]: 3 vs {error}" in out
 
 
 def _evacuated_shapes(records):

@@ -22,6 +22,14 @@ GOLDEN = {
     "verify_columns_n_5.txt": "verify --check columns --n-max 5",
     "verify_prefix_k_4_n_7.txt": "verify --check prefix --k-max 4 --n-max 7",
     "scan_n_7_side_4_k_3.json": "scan --n-max 7 --shape-side 4 --k-max 3 --format json",
+    # the worked 9 x 9 example of the README
+    "reduce_perm_127965384_j_3_suffixes_54_prefix_123.txt": (
+        "reduce --perm 127965384 --prefix-length 3 --suffixes 54 --prefix 123"
+    ),
+    # 534 is not an involution: only the mirror image of the marked region keeps column 1
+    "reduce_perm_351624_j_2_suffixes_534_prefix_21.txt": (
+        "reduce --perm 351624 --prefix-length 2 --suffixes 534 --prefix 21"
+    ),
     "rsk_perm_42513.txt": "rsk --perm 42513",
     "rsk_perm_42513.json": "rsk --perm 42513 --format json",
     "rsk_p_12_3_q_13_2.txt": "rsk --p 1,2/3 --q 1,3/2",

@@ -15,7 +15,7 @@ from invpat.errors import InvalidInputError, InvalidPatternError, InvalidPlaceme
 from invpat.perms import is_involution, pattern_of, perm_from_text
 from invpat.reduction import (
     SuffixSet,
-    _suffix_corners,
+    _marked_heights,
     class_decomposition_check,
     suffix_reduction,
     suffix_set,
@@ -147,11 +147,17 @@ def placements_and_suffix_sets(draw):
     return shape, p, suffix_set(j, suffixes)
 
 
+def heights_of_corners(corners, n):
+    # column x of the union of the rectangles [1, a] x [1, b] reaches the
+    # tallest b among the corners at or right of x
+    return [max((b for a, b in corners if a >= x), default=0) for x in range(1, n + 1)]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(placements_and_suffix_sets())
-def test_suffix_corners_match_the_pattern_of_search(case):
+def test_marked_heights_match_the_pattern_of_search(case):
     mu, p, t = case
-    assert _suffix_corners(p, t) == relabelling_suffix_corners(p, t)
+    assert _marked_heights(p, t) == heights_of_corners(relabelling_suffix_corners(p, t), len(mu))
     rb = suffix_reduction(mu, p, t)
     for sigma in permutations(range(1, t.j + 1)):
         if is_involution(sigma):
