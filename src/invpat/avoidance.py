@@ -20,6 +20,7 @@ from .perms import (
     Perm,
     _matcher,
     _rc_orbits,
+    inverse,
     involution_list,
     pattern_of,
     perm_from_text,
@@ -95,6 +96,12 @@ def _scan(rows: Sequence[bytes], cells: list[PatternSet]) -> list[int]:
     return [next(single) if len(cell) == 1 else len(_avoiding(rows, cell)) for cell in cells]
 
 
+def _up_to_inverse(patterns: PatternSet) -> PatternSet:
+    """The one of S and S⁻¹ (the patterns' inverses) that the scans read:
+    the larger by sorted patterns, the member measured cheaper to match."""
+    return max(patterns, frozenset(map(inverse, patterns)), key=sorted)
+
+
 def _avoider_counts(
     n: int, cells: Sequence[PatternSet], start: int = 0, step: int = 1
 ) -> list[int]:
@@ -102,17 +109,22 @@ def _avoider_counts(
     over every step-th row from start of each part of perms._rc_orbits(n).
 
     The image of a pair avoids S iff the pair avoids rc(S), so a cell
-    counts A(pairs, S) + A(pairs, rc S) + A(fixed, S): the pairs are
-    scanned once for the distinct cells and their images, which scans a
-    set that is its own image once, and the fixed rows for the cells alone.
+    counts A(pairs, S) + A(pairs, rc S) + A(fixed, S).  Every row is an
+    involution, π = π⁻¹, and π contains σ iff π⁻¹ contains σ⁻¹, so a row
+    avoids S iff it avoids S⁻¹: each set is scanned up to inverse, as
+    _up_to_inverse(S).  The pairs are scanned once for the distinct sets
+    so read from the cells and their images, which scans a cell whose
+    image is itself or its inverse once, and the fixed rows for the cells
+    alone.
     """
     pairs, fixed = (part[start::step] for part in _rc_orbits(n))
-    images = [frozenset(map(reversed_complement, cell)) for cell in cells]
-    scanned = [*dict.fromkeys([*cells, *images])]
+    read = [_up_to_inverse(cell) for cell in cells]
+    images = [_up_to_inverse(frozenset(map(reversed_complement, cell))) for cell in cells]
+    scanned = [*dict.fromkeys([*read, *images])]
     in_pairs = dict(zip(scanned, _scan(pairs, scanned)))
     return [
         in_pairs[cell] + in_pairs[image] + count
-        for cell, image, count in zip(cells, images, _scan(fixed, cells))
+        for cell, image, count in zip(read, images, _scan(fixed, read))
     ]
 
 

@@ -138,9 +138,9 @@ def slide_context(p: Placement, i: int, j: int) -> SlideContext:
     """Extract and validate the window data for the slide at (i, j)."""
     window = _checked_window(p, i, j, i)
     top = p.shape[0]
-    cols = boards.column_heights(p.shape)
-    # the first narrow columns of a self-conjugate shape reach full height
-    if any(cols[c - 1] != top for c in range(i, i + j)):
+    # column c of a self-conjugate shape is as high as row c is long, and
+    # its first narrow columns reach full height
+    if any(p.shape[c - 1] != top for c in range(i, i + j)):
         raise InvalidPlacementError(f"columns {i}..{i + j - 1} are not all {top} high")
     below = tuple(d for d in window if d[1] < d[0])
     on_diag = tuple(d for d in window if d[1] == d[0])

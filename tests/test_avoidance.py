@@ -1,6 +1,7 @@
 """Counting avoiders: brute force, closed forms, and the memo store."""
 import tracemalloc
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -175,8 +176,88 @@ def test_a_count_holds_no_involutions_past_the_orbits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held < 2**18, held
-    # an involution contains sigma iff it contains sigma's inverse
-    assert count == count_avoiders(11, [inverse(sigma)])
+    # the pairing walk, matched against sigma itself, never reads the orbits
+    assert count == sum(not contains(pi, sigma) for pi in involutions(11)) == 7012
+
+
+def test_each_set_is_scanned_up_to_inverse(monkeypatch):
+    scanned = []
+
+    def record(rows, cells):
+        scanned.append(cells)
+        return [0] * len(cells)
+
+    monkeypatch.setattr(avoidance, "_scan", record)
+    # 2341's reversed complement 4123 is its inverse: one scan of the pairs
+    sigma = (2, 3, 4, 1)
+    assert reversed_complement(sigma) == inverse(sigma) != sigma
+    _avoider_counts(9, [frozenset([sigma])])
+    assert scanned == [[frozenset([inverse(sigma)])]] * 2
+    # one pattern per symmetry class of S_6: 62 of the 230 have a reversed
+    # complement that is the pattern or its inverse, so the pairs are
+    # scanned for 2 * 230 - 62 sets
+    reps = [frozenset(cls[:1]) for cls in symmetry_classes(6)]
+    for n in range(6, 10):
+        scanned.clear()
+        _avoider_counts(n, reps)
+        pairs, fixed = scanned
+        assert len(pairs) == len(set(pairs)) == 398
+        assert len(fixed) == len(set(fixed)) == 230
+
+
+@pytest.mark.parametrize(
+    "patterns", [["1342"], ["2341"], ["1342", "2413"], ["2314", "3412"], ["2413", "25314"]]
+)
+def test_a_set_read_as_its_inverse_counts_as_itself(patterns, monkeypatch):
+    # each set is scanned as its inverse, and so is its reversed complement;
+    # the oracle matches every involution against the set itself
+    monkeypatch.setattr(avoidance, "_known", {})
+    cell = pattern_set(patterns)
+    assert avoidance._up_to_inverse(cell) == frozenset(map(inverse, cell)) != cell
+    for n in range(11):
+        want = sum(not any(contains(pi, s) for s in cell) for pi in involutions(n))
+        assert count_avoiders(n, cell) == want, (n, patterns)
+
+
+def _box_hook_sum(n, k, l):
+    # RSK sends each involution to one standard tableau, whose first row is
+    # as long as its longest increasing subsequence and whose first column
+    # as its longest decreasing one: the involutions avoiding 12...k and
+    # l...1 are counted by the sum of f^λ over λ ⊢ n with λ1 < k and
+    # ℓ(λ) < l, f^λ by the hook-length formula
+    def partitions(rest, cap, parts):
+        if rest == 0:
+            yield ()
+        elif parts:
+            for first in range(min(rest, cap), 0, -1):
+                for tail in partitions(rest - first, first, parts - 1):
+                    yield (first, *tail)
+
+    total = 0
+    for shape in partitions(n, k - 1, l - 1):
+        hooks = 1
+        for r, part in enumerate(shape):
+            for c in range(part):
+                leg = sum(1 for lower in shape[r + 1 :] if lower > c)
+                hooks *= part - c + leg
+        total += factorial(n) // hooks
+    return total
+
+
+def test_box_hook_sum_agrees_with_the_hook_length_sum():
+    for n in range(14):
+        for k in range(1, 8):
+            assert _box_hook_sum(n, k, n + 1) == hook_length_sum(n, k)
+    # pinned at n = 13 for 123456,4321: the shapes (5,5,3) and (5,4,4)
+    assert _box_hook_sum(13, 6, 4) == 6006
+
+
+@pytest.mark.parametrize("k, l", [(4, 5), (5, 3), (3, 6), (6, 4)])
+def test_monotone_pairs_match_the_box_hook_sum(k, l, monkeypatch):
+    monkeypatch.setattr(avoidance, "_known", {})
+    patterns = [tuple(range(1, k + 1)), tuple(range(l, 0, -1))]
+    for n in range(12):
+        assert count_avoiders(n, patterns) == _box_hook_sum(n, k, l), n
 
 
 @pytest.mark.parametrize("patterns", [["1342"], ["1342", "2413"]])

@@ -98,9 +98,13 @@ def test_slide_postconditions_raise_named_error(monkeypatch, bad, failure):
 
 
 def test_window_columns_must_reach_full_height(monkeypatch):
-    monkeypatch.setattr(boards, "column_heights", lambda shape: (1,) * len(shape))
-    with pytest.raises(InvalidPlacementError, match="are not all 3 high"):
-        slide_context(graph_of((1, 2, 3)), 1, 2)
+    # a shape let through as self-conjugate that is not: its second row,
+    # read as the height of column 2, is one box short of the top
+    monkeypatch.setattr(boards, "is_self_conjugate", lambda shape: True)
+    monkeypatch.setattr(boards, "is_full", lambda p: True)
+    p = make_placement((4, 3, 3, 3), [(1, 1), (2, 2), (3, 3)])
+    with pytest.raises(InvalidPlacementError, match="columns 1..2 are not all 4 high"):
+        slide_context(p, 1, 2)
 
 
 def test_window_dots_must_be_ordered_by_diagonal_side(monkeypatch):
