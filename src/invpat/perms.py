@@ -7,7 +7,6 @@ has the same relative order.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache
 from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -310,25 +309,31 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
 
 def _patience(k: int, down: bool):
     # Schensted: a word contains 12...k iff its longest increasing
-    # subsequence has k entries, and k...1 iff its reverse's does.  tails[i]
-    # is the least last entry of an increasing subsequence of i + 1 entries
-    # read so far; tails increases, so each entry bisects into it.
-    # Reversing the word costs less than negating its entries.
-    last = k - 1
+    # subsequence has k entries, and k...1 iff its reverse's does.  t<i> is
+    # the least last entry of an increasing subsequence of i entries read so
+    # far, above every entry while there is none; t1 < t2 < ..., so an entry
+    # replaces the first tail above it, and one above t<k-1> ends an
+    # increasing subsequence of k.  The tails are locals of a generated
+    # function, one flat `if` per tail: an `elif` chain nests, and CPython's
+    # compiler refuses one of a few thousand.  A bytes entry is below the
+    # int 256, which compares faster than inf.  Reversing the word costs
+    # less than negating its entries.
+    tails = [f"t{i}" for i in range(1, k)]
+    lines = ["def match(seq):"]
+    if tails:
+        lines.append(f"    {' = '.join(tails)} = 256 if type(seq) is bytes else inf")
+    lines.append(f"    for v in {'reversed(seq)' if down else 'seq'}:")
+    for t in tails:
+        lines += [f"        if v < {t}:", f"            {t} = v", "            continue"]
+    lines += ["        return 1", "    return 0"]
+    return _compiled("\n".join(lines) + "\n", f"<patience k={k}{' down' if down else ''}>")
 
-    def match(seq):
-        tails = []
-        for v in reversed(seq) if down else seq:
-            i = bisect_left(tails, v)
-            if i < len(tails):
-                tails[i] = v
-            elif i < last:
-                tails.append(v)
-            else:
-                return 1
-        return 0
 
-    return match
+def _compiled(source: str, name: str):
+    # the function match that source defines, compiled under name
+    namespace: dict = {"inf": inf}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["match"]
 
 
 @cache
@@ -340,19 +345,17 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
     integers (the involution rows are bytes); the board form as
     match(dots, shape) with dots sorted by column.  The word form of one
     monotone pattern, 12...k or k...1 with k >= 2, is a patience-sorting
-    pass over seq; every other unit, and every board form, is compiled
-    into nested loops (_matcher_source) that read seq as a tuple.
+    pass over seq (_patience) that keeps its k - 1 tails in local
+    variables; every other unit, and every board form, is compiled into
+    nested loops (_matcher_source) that read seq as a tuple.
     """
     if not board and len(unit) == 1 and len(unit[0]) > 1:
         (sigma,) = unit
         k = len(sigma)
         if sigma in ((*range(1, k + 1),), (*range(k, 0, -1),)):
             return _patience(k, sigma[0] == k)
-    namespace: dict = {"inf": inf}
-    source = _matcher_source(unit, board)
     lengths = ",".join(str(len(sigma)) for sigma in unit)
-    exec(compile(source, f"<matcher m={lengths}>", "exec"), namespace)
-    return namespace["match"]
+    return _compiled(_matcher_source(unit, board), f"<matcher m={lengths}>")
 
 
 def contains(pi: Sequence[int], sigma: Perm) -> bool:
@@ -361,7 +364,8 @@ def contains(pi: Sequence[int], sigma: Perm) -> bool:
     pi may be any sequence of distinct integers; only relative order is
     used.  The empty pattern is contained in everything.  The test runs the
     word-form matcher of the one-pattern unit (sigma,), built on its first
-    use: a patience-sorting pass for 12...k and k...1, compiled nested
+    use: for 12...k and k...1 one patience-sorting pass, which tests each
+    entry against k - 1 tails held in local variables, and compiled nested
     loops for any other pattern.
 
     >>> contains((1, 2, 7, 9, 6, 5, 3, 8, 4), (1, 2, 3, 5, 4))

@@ -93,10 +93,11 @@ def test_hook_length_sum_matches_count_avoiders(monkeypatch):
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
-    # 12...k and k...1 are each tested by one patience-sorting pass (the
-    # compiled loops are not run for them), and both sets are their own
-    # reversed complement, so only one member of each orbit is tested.
-    # n = 11 and 12 are past what the brute-force tests reach.
+    # 12...k and k...1 are each tested by one generated patience-sorting
+    # pass that holds its k - 1 tails in locals (the nested loops are not
+    # compiled for them), and both sets are their own reversed complement,
+    # so only one member of each orbit is tested.  n = 11 and 12 are past
+    # what the brute-force tests reach.
     monkeypatch.setattr(avoidance, "_known", {})
     for k in (4, 5, 6):
         want = hook_length_sum(n, k)

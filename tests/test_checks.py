@@ -1,9 +1,10 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
 import pytest
 
-from invpat import boards, checks, reduction, slide
+from invpat import boards, checks, reduction, slide, tableaux
 from invpat.cli import run
-from invpat.errors import InvalidInputError, InvalidPlacementError
+from invpat.errors import InvalidInputError, InvalidPlacementError, InvalidTableauError
+from invpat.perms import validate_perm
 
 
 def _all_pass(records):
@@ -115,6 +116,37 @@ def test_rsk_sweep():
     records = checks.check_rsk_properties(4)
     _all_pass(records)
     assert _evacuated_shapes(records) == _box(4)
+
+
+def test_a_faulty_rsk_inverse_fails_the_sweep_with_exit_1(monkeypatch, capsys):
+    # a library fault is a failing check, not bad input (exit 2)
+    real = tableaux.rsk_inverse
+
+    def rsk_inverse(p, q):
+        word = real(p, q)
+        return validate_perm((2, 2, 3)) if len(word) == 3 else word
+
+    monkeypatch.setattr(tableaux, "rsk_inverse", rsk_inverse)
+    error = "InvalidWordError: not a permutation of 1..3: (2, 2, 3)"
+    failed = [r for r in checks.check_rsk_properties(3) if not r["pass"]]
+    assert [r["check"] for r in failed] == [
+        "rsk-round-trip", "rsk-injective", "rsk-involution-symmetry", "rsk-reversal"
+    ]
+    assert all(r["params"] == "n=3" and r["rhs"] == error for r in failed)
+    assert run(["verify", "--check", "rsk", "--n-max", "3", "--no-timing"]) == 1
+    assert f"FAIL rsk-round-trip n=3: 0 vs {error}" in capsys.readouterr().out
+
+
+def test_a_faulty_evacuation_fails_the_sweep_with_exit_1(monkeypatch):
+    def evacuation(q):
+        raise InvalidTableauError("planted")
+
+    monkeypatch.setattr(tableaux, "evacuation", evacuation)
+    monkeypatch.setattr(tableaux, "check_reversal_property", lambda w: True)
+    failed = [r for r in checks.check_rsk_properties(2) if not r["pass"]]
+    assert [r["params"] for r in failed] == _box(2)
+    assert all(r["rhs"] == "InvalidTableauError: planted" for r in failed)
+    assert run(["verify", "--check", "rsk", "--n-max", "2", "--no-timing"]) == 1
 
 
 @pytest.mark.parametrize("n_max", [0, 2, 3])

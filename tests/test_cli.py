@@ -29,6 +29,16 @@ def test_count_text(capsys):
     assert out == "127\n"
 
 
+@pytest.mark.parametrize("down", [False, True])
+def test_count_takes_a_monotone_pattern_of_twelve_hundred(capsys, down):
+    # longer than any involution of [11], so all 35,696 avoid it
+    values = range(1200, 0, -1) if down else range(1, 1201)
+    pattern = "[" + ",".join(map(str, values)) + "]"
+    assert run(["count", "--n", "11", "--patterns", pattern, "--no-timing"]) == 0
+    out, _ = out_of(capsys)
+    assert out == "35696\n"
+
+
 def test_count_json_schema(capsys):
     assert run(
         ["count", "--n", "6", "--patterns", "123", "--format", "json", "--no-timing"]

@@ -238,13 +238,16 @@ MONOTONE = [
 
 
 def test_a_lone_monotone_pattern_is_tested_by_patience_sorting():
-    patience = perms._patience(2, False).__code__  # shared by every k
-    for sigma, _ in MONOTONE:
-        assert (perms._matcher((sigma,)).__code__ is patience) == (len(sigma) > 1), sigma
-    # a unit of two, the board form and any other pattern stay compiled
-    assert perms._matcher(((1, 2), (2, 1))).__code__ is not patience
-    assert perms._matcher(((1, 2),), board=True).__code__ is not patience
-    assert perms._matcher(((1, 3, 2),)).__code__ is not patience
+    def name(unit, board=False):
+        return perms._matcher(unit, board).__code__.co_filename
+
+    for sigma, down in MONOTONE:
+        want = f"<patience k={len(sigma)}{' down' if down else ''}>"
+        assert (name((sigma,)) == want) == (len(sigma) > 1), sigma
+    # a unit of two, the board form and any other pattern stay compiled loops
+    assert name(((1, 2), (2, 1))) == "<matcher m=2,2>"
+    assert name(((1, 2),), board=True) == "<matcher m=2>"
+    assert name(((1, 3, 2),)) == "<matcher m=3>"
 
 
 def test_patience_matches_the_compiled_loops_on_every_small_involution():
@@ -266,6 +269,20 @@ def test_patience_matches_the_compiled_loops_on_arbitrary_words(word, case):
     want = compiled((sigma,))(word)
     match = perms._patience(len(sigma), down)
     assert match(word) == match(tuple(word)) == want
+
+
+@pytest.mark.parametrize("down", [False, True])
+def test_patience_holds_twelve_hundred_tails(down):
+    # one flat `if` a tail: an `elif` chain this long would not compile
+    sigma = (*range(1200, 0, -1),) if down else (*range(1, 1201),)
+    word = [v * 10**15 - 7 for v in range(1, 1201)]
+    if down:
+        word.reverse()
+    assert contains(word, sigma)
+    word[599], word[600] = word[600], word[599]
+    assert not contains(word, sigma)
+    assert not contains(word[:-1], sigma)
+    assert contains(word, sigma[1:] if down else sigma[:-1])
 
 
 @cache

@@ -163,3 +163,24 @@ def test_marked_heights_match_the_pattern_of_search(case):
         if is_involution(sigma):
             patterns = t.patterns_with_prefix(sigma)
             assert verify_reduction_equivalence(p, rb, sigma, patterns)
+
+
+@pytest.mark.parametrize("j, records", [(1, 898), (2, 1796), (3, 3592)])
+def test_the_equivalence_needs_the_mirror_step(j, records):
+    # 231 and 312 suffixes are not involutions, so their marked region is
+    # not self-conjugate until it is joined with its mirror image.  The
+    # involution suffixes of the verify sweeps pass a reduction that skips
+    # that step; these make it raise on some boards of side 6, though on
+    # none of side 5 or less.
+    prefixes = [sigma for sigma in permutations(range(1, j + 1)) if is_involution(sigma)]
+    sets = [suffix_set(j, [(j + 2, j + 3, j + 1)]), suffix_set(j, [(j + 3, j + 1, j + 2)])]
+    checked, failed = 0, []
+    for mu in SHAPES:
+        for p in symmetric_full_placements(mu):
+            for t in sets:
+                rb = suffix_reduction(mu, p, t)
+                for sigma in prefixes:
+                    checked += 1
+                    if not verify_reduction_equivalence(p, rb, sigma, t.patterns_with_prefix(sigma)):
+                        failed.append((mu, sorted(p.dots), sigma, sorted(t.suffixes)))
+    assert (checked, failed) == (records, [])
