@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from . import boards
 from .errors import InvalidInputError
 from .perms import (
-    _LEVELS_PER_FUNCTION,
     Perm,
     _matcher,
     _rc_orbits,
@@ -68,16 +67,14 @@ def _scan(rows: Sequence[bytes], cells: list[PatternSet]) -> list[int]:
     The patterns of the one-pattern cells are matched in units: those that
     agree on the standardised prefix of all but their last two entries
     share one compiled matcher, which walks the loops of their common
-    prefixes once for all of them.  A pattern too long to nest with others
-    is a unit of its own.  Each unit counts the masks its matcher returns,
-    and each mask counts against every pattern whose bit it has.  A cell of
-    several patterns goes through the _avoiding filter.
+    prefixes once for all of them.  Each unit counts the masks its matcher
+    returns, and each mask counts against every pattern whose bit it has.
+    A cell of several patterns goes through the _avoiding filter.
     """
     singles = [sigma for cell in cells if len(cell) == 1 for sigma in cell]
     units: dict = {}
     for j, sigma in enumerate(singles):
-        key = j if len(sigma) > _LEVELS_PER_FUNCTION else pattern_of(sigma[:-2])
-        units.setdefault(key, []).append(j)
+        units.setdefault(pattern_of(sigma[:-2]), []).append(j)
     matchers = [_matcher(tuple(singles[j] for j in members)) for members in units.values()]
     masks = [Counter() for _ in matchers]
     for at in range(0, len(rows), _CHUNK):
@@ -107,6 +104,8 @@ def _avoider_counts(
 ) -> list[int]:
     """For each pattern set, how many involutions of [n] avoid it, counted
     over every step-th row from start of each part of perms._rc_orbits(n).
+    No row holds a pattern longer than n, so each cell drops those first;
+    a cell left empty counts every row.
 
     The image of a pair avoids S iff the pair avoids rc(S), so a cell
     counts A(pairs, S) + A(pairs, rc S) + A(fixed, S).  Every row is an
@@ -118,6 +117,7 @@ def _avoider_counts(
     alone.
     """
     pairs, fixed = (part[start::step] for part in _rc_orbits(n))
+    cells = [frozenset(sigma for sigma in cell if len(sigma) <= n) for cell in cells]
     read = [_up_to_inverse(cell) for cell in cells]
     images = [_up_to_inverse(frozenset(map(reversed_complement, cell))) for cell in cells]
     scanned = [*dict.fromkeys([*read, *images])]

@@ -79,11 +79,6 @@ def square(n: int) -> Shape:
     return (n,) * n
 
 
-def column_heights(shape: Shape) -> Shape:
-    """Height of each column; the conjugate partition."""
-    return conjugate(shape)
-
-
 @dataclass(frozen=True)
 class Placement:
     """Dots on a shape, at most one per row and per column."""
@@ -190,7 +185,7 @@ def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
     if n_rows == 0:
         yield Placement((), frozenset())
         return
-    heights = column_heights(shape)
+    heights = conjugate(shape)
     used = [False] * (n_rows + 1)
     dots: list[Box] = []
 
@@ -246,16 +241,9 @@ def enumerate_self_conjugate_shapes(max_side: int) -> Iterator[Shape]:
 
     def build(hooks: tuple[int, ...]) -> Shape:
         # hooks[d] is the arm+leg+1 of diagonal box d+1, strictly decreasing.
-        parts: list[int] = []
-        for d, h in enumerate(hooks):
-            arm = (h - 1) // 2
-            parts.append(d + 1 + arm)
+        parts = tuple(d + 1 + (h - 1) // 2 for d, h in enumerate(hooks))
         # rows below the last diagonal box come from the columns by symmetry
-        k = parts[0] if parts else 0
-        full = [sum(1 for p in parts if p >= x) for x in range(1, k + 1)]
-        for d, p in enumerate(parts):
-            full[d] = p
-        return tuple(full)
+        return parts + conjugate(parts)[len(parts):]
 
     def rec(prefix: tuple[int, ...], cap: int) -> Iterator[Shape]:
         yield build(prefix)

@@ -92,11 +92,14 @@ def symmetry_class(tau: Perm) -> frozenset[Perm]:
 
 
 @cache
-def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None], ...]:
+def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None, int], ...]:
     # For each pattern position d, the earlier position holding the closest
     # smaller value and the one holding the closest larger value.  These are
-    # the only order constraints a new candidate has to satisfy.
+    # the only order constraints a new candidate has to satisfy.  Last, the
+    # position of the largest of sigma[:d+1], whose value is the row of the
+    # box a board dot at d must fit under.
     links = []
+    top = 0
     for d in range(len(sigma)):
         lo = hi = None
         for e in range(d):
@@ -104,7 +107,9 @@ def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None], ...]:
                 lo = e
             if sigma[e] > sigma[d] and (hi is None or sigma[e] < sigma[hi]):
                 hi = e
-        links.append((lo, hi))
+        if sigma[d] > sigma[top]:
+            top = d
+        links.append((lo, hi, top))
     return tuple(links)
 
 
@@ -117,55 +122,44 @@ _LEVELS_PER_FUNCTION = 16
 class _Node:
     """One standardised prefix of the unit's patterns: the loop at depth d."""
 
-    def __init__(self, sigma: Perm, d: int):
-        self.sigma = sigma  # any pattern of the unit with this prefix
+    def __init__(self, d: int, links: tuple | None = None, rest: int = 0):
         self.d = d
+        self.links = links  # the (lo, hi, top) of _pattern_links at depth d
         self.leaf = 0  # bits of the patterns that end here
         self.bits = 0  # bits of the patterns that pass through here
-        self.rest = len(sigma) - 1 - d  # fewest positions still to place
+        self.rest = rest  # fewest positions still to place
+        # how the loops under this one read each earlier value: "<" where a
+        # later value must exceed it, or where a later dot must fit under
+        # the box in its row, so that a smaller value can only help; ">"
+        # where a later value must stay below it
+        self.reads: dict[int, set[str]] = {}
         self.children: dict[int, _Node] = {}
 
 
-def _trie(unit: tuple[Perm, ...]) -> _Node:
+def _trie(unit: tuple[Perm, ...], board: bool) -> _Node:
     # A child is told apart from its siblings by the rank of its entry among
-    # the prefix so far, which with the parent's prefix fixes its own.
-    root = _Node((), -1)
+    # the prefix so far, which with the parent's prefix fixes its own.  How
+    # a new node's test reads earlier values goes to every node above it.
+    root = _Node(-1)
     for j, sigma in enumerate(unit):
-        node = root
-        node.bits |= 1 << j
+        links = _pattern_links(sigma)
+        path = [root]
         for d, v in enumerate(sigma):
             rank = sum(u < v for u in sigma[:d])
-            node = node.children.setdefault(rank, _Node(sigma, d))
+            if rank not in path[-1].children:
+                lo, hi, top = links[d]
+                boxed = top if board and top != d else None
+                for earlier, way in ((lo, "<"), (hi, ">"), (boxed, "<")):
+                    if earlier is not None:
+                        for node in path:
+                            node.reads.setdefault(earlier, set()).add(way)
+                path[-1].children[rank] = _Node(d, links[d], len(sigma) - 1 - d)
+            path.append(path[-1].children[rank])
+            path[-1].rest = min(path[-1].rest, len(sigma) - 1 - d)
+        for node in path:
             node.bits |= 1 << j
-            node.rest = min(node.rest, len(sigma) - 1 - d)
-        node.leaf |= 1 << j
+        path[-1].leaf |= 1 << j
     return root
-
-
-def _reads(root: _Node, board: bool) -> dict[_Node, dict[int, set[str]]]:
-    # For each node of the trie, how the loops under it read each earlier
-    # value: "<" where a later value must exceed it, or where a later dot
-    # must fit under the box in its row, so that a smaller value can only
-    # help; ">" where a later value must stay below it.
-    found: dict[_Node, dict[int, set[str]]] = {}
-
-    def visit(node: _Node) -> dict[int, set[str]]:
-        reads: dict[int, set[str]] = {}
-        for child in node.children.values():
-            e, sigma = child.d, child.sigma
-            lo, hi = _pattern_links(sigma)[e]
-            top = max(range(e + 1), key=sigma.__getitem__)
-            boxed = top if board and top != e else None
-            for earlier, way in ((lo, "<"), (hi, ">"), (boxed, "<")):
-                if earlier is not None:
-                    reads.setdefault(earlier, set()).add(way)
-            for earlier, ways in visit(child).items():
-                reads.setdefault(earlier, set()).update(ways)
-        found[node] = reads
-        return reads
-
-    visit(root)
-    return found
 
 
 def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
@@ -194,7 +188,7 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # what a subtree already searched has found; the mask only grows, so
     # skipping them changes no result.  A later candidate of a loop has
     # fewer positions after it, so:
-    # - if the loops below read v<d> only as "<" (see _reads), a candidate
+    # - if the loops below read v<d> only as "<" (see _Node.reads), a candidate
     #   above the least value searched under the same parent is skipped:
     #   m<d> holds that value and caps v<d> in the loop's own test.  Read
     #   only as ">", m<d> is the largest and a floor.  Not read at all, the
@@ -207,18 +201,9 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     chained = len(set(unit)) == 1
     if not chained and max(map(len, unit)) > _LEVELS_PER_FUNCTION:
         raise ValueError(f"a pattern longer than {_LEVELS_PER_FUNCTION} needs a unit of its own")
-    root = _trie(unit)
-    reads_under = _reads(root, board)
+    root = _trie(unit, board)
     functions = []
     seen: list[str] = []  # the per-call position sets, one per node using one
-
-    def carried(sigma: Perm, k: int) -> str:
-        # values chosen before level k that level k or a later one reads
-        links = _pattern_links(sigma)
-        reads = {e for d in range(k, len(sigma)) for e in links[d] if e is not None}
-        if board:
-            reads |= {max(range(d + 1), key=sigma.__getitem__) for d in range(k, len(sigma))}
-        return "".join(f", v{e}" for e in sorted(e for e in reads if e < k))
 
     def leaf(node: _Node, pad: str) -> list[str]:
         if node.leaf == full:
@@ -231,7 +216,9 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         for child in node.children.values():
             d = child.d
             if d and d % _LEVELS_PER_FUNCTION == 0:
-                args = f"{head}, n, i{d - 1}{carried(child.sigma, d)}"
+                # the values chosen above that this level or a later one reads
+                carried = "".join(f", v{e}" for e in sorted(e for e in node.reads if e < d))
+                args = f"{head}, n, i{d - 1}{carried}"
                 functions.append(
                     [f"def level{d}({args}):", *loop(child, "    "), "    return 0"]
                 )
@@ -244,9 +231,8 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         return lines
 
     def loop(node: _Node, pad: str) -> list[str]:
-        d, sigma = node.d, node.sigma
-        reads = reads_under[node]
-        lo, hi = _pattern_links(sigma)[d]
+        d, reads = node.d, node.reads
+        lo, hi, top = node.links
         low = None if lo is None else f"v{lo}"
         high = None if hi is None else f"v{hi}"
         lines = []
@@ -264,7 +250,6 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         if low or high:
             bounds = " < ".join(b for b in (low, f"v{d}", high) if b)
             lines += [f"{pad}if not {bounds}:", f"{pad}    continue"]
-        top = max(range(d + 1), key=sigma.__getitem__)
         if board and top != d:
             lines += [f"{pad}if x{d} > shape[v{top} - 1]:", f"{pad}    break"]
         if f"m{d}" in (low, high):

@@ -295,6 +295,23 @@ def test_batch_gives_a_long_pattern_a_unit_of_its_own():
     assert _avoider_counts(6, cells) == [1, 76, 1, 76, 20]
 
 
+def test_no_pattern_longer_than_the_rows_is_scanned(monkeypatch):
+    scanned = []
+    scan = avoidance._scan
+
+    def record(rows, cells):
+        scanned.extend(cells)
+        return scan(rows, cells)
+
+    monkeypatch.setattr(avoidance, "_scan", record)
+    down = tuple(range(17, 0, -1))
+    swapped = (*range(1, 17), 18, 17)
+    cells = [frozenset([down]), frozenset([swapped]), frozenset([swapped, (1, 2, 3, 4)])]
+    # a cell of long patterns alone counts all 76 involutions of [6]
+    assert _avoider_counts(6, cells) == [76, 76, motzkin(6)] == [76, 76, 51]
+    assert max(len(sigma) for cell in scanned for sigma in cell) == 4
+
+
 def test_hook_length_sum_matches_closed_forms():
     for n in range(1, 31):
         assert hook_length_sum(n, 3) == closed_form_123(n)

@@ -1,7 +1,7 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
 import pytest
 
-from invpat import boards, checks, reduction, slide, tableaux
+from invpat import boards, checks, classify, reduction, slide, tableaux
 from invpat.cli import run
 from invpat.errors import InvalidInputError, InvalidPlacementError, InvalidTableauError
 from invpat.perms import validate_perm
@@ -216,3 +216,87 @@ def test_run_checks_refuses_a_limit_no_chosen_sweep_takes(monkeypatch, names, li
 def test_record_shape():
     for record in checks.check_column_constraint_square(3):
         assert set(record) == {"check", "params", "lhs", "rhs", "pass"}
+
+
+# -- planted faults: each sweep must fail on a library that is wrong ---------
+
+
+def _drop_each_shapes_last_full_placement(monkeypatch):
+    real = boards.enumerate_full_placements
+    monkeypatch.setattr(boards, "enumerate_full_placements", lambda shape: [*real(shape)][:-1])
+
+
+def _left_flank_one_column_short(monkeypatch):
+    real = checks.count_avoiders_with_column_constraint
+
+    def count(n, main, flank, side, i):
+        return real(n, main, flank, side, max(i - 1, 0) if side == "left" else i)
+
+    monkeypatch.setattr(checks, "count_avoiders_with_column_constraint", count)
+
+
+def _321_top_row_dot_not_mirrored(monkeypatch):
+    real = slide.top_row_dot_count
+
+    def count(shape, pattern, i):
+        return real(shape, pattern, shape[-1] + 1 - i if pattern == "321" else i)
+
+    monkeypatch.setattr(slide, "top_row_dot_count", count)
+
+
+def _321_flank_one_column_left(monkeypatch):
+    real = slide.flank_avoiding_count
+
+    def count(shape, pattern, i):
+        if pattern == "123":
+            return real(shape, pattern, i)
+        narrow = shape[-1] if shape else 0
+        pool = boards.avoiding(boards.symmetric_full_placements(shape), [(3, 2, 1)])
+        return len(boards.avoiding(pool, [(2, 1)], columns=range(narrow - i, narrow)))
+
+    monkeypatch.setattr(slide, "flank_avoiding_count", count)
+
+
+def _one_more_avoider_of_a_pattern_starting_with_1(monkeypatch):
+    real = classify.count_avoiders
+
+    def count(n, patterns, store=None):
+        (sigma,) = patterns
+        return real(n, patterns, store) + (sigma[0] == 1 and n > len(sigma) + 1)
+
+    monkeypatch.setattr(classify, "count_avoiders", count)
+
+
+# sweep -> (fault, limits, failing records and all records under the fault)
+PLANTED = {
+    "extremes": (_drop_each_shapes_last_full_placement, {"max_side": 5}, (59, 200)),
+    "columns": (_left_flank_one_column_short, {"n_max": 7}, (42, 70)),
+    "toprow": (_321_top_row_dot_not_mirrored, {"max_side": 6}, (30, 100)),
+    "recurrences": (_321_flank_one_column_left, {"max_side": 6}, (41, 284)),
+    "prefix": (_one_more_avoider_of_a_pattern_starting_with_1, {"k_max": 4, "n_max": 7}, (4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_a_planted_fault_fails_the_sweep_with_exit_1(monkeypatch, name):
+    plant, limits, want = PLANTED[name]
+    _all_pass(checks.ALL_CHECKS[name](**limits))
+    plant(monkeypatch)
+    records = checks.ALL_CHECKS[name](**limits)
+    assert (sum(not r["pass"] for r in records), len(records)) == want
+    options = [f"--{limit.replace('_', '-')}={value}" for limit, value in limits.items()]
+    assert run(["verify", "--check", name, *options, "--no-timing"]) == 1
+
+
+# each sweep's planted-fault controls
+CONTROLS = {
+    **dict.fromkeys(PLANTED, test_a_planted_fault_fails_the_sweep_with_exit_1),
+    "reduction": test_reduced_boards_one_row_short_fail_both_sweeps,
+    "decomposition": test_reduced_boards_one_row_short_fail_both_sweeps,
+    "slide": test_a_faulty_slide_fails_the_sweep_with_exit_1,
+    "rsk": test_a_faulty_rsk_inverse_fails_the_sweep_with_exit_1,
+}
+
+
+def test_every_sweep_has_a_planted_fault_control():
+    assert sorted(CONTROLS) == sorted(checks.ALL_CHECKS)

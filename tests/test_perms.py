@@ -179,10 +179,12 @@ def level_kinds(unit):
     # its own value ("<", ">", "<>" or "unread"), and whether they read a
     # value chosen above it ("carried") or not ("fresh")
     kinds = set()
-    for node, reads in perms._reads(perms._trie(unit), False).items():
+    nodes = [perms._trie(unit, False)]
+    for node in nodes:
+        nodes += node.children.values()
         if node.d >= 0 and node.children:
-            kinds.add("".join(sorted(reads.get(node.d, {"unread"}))))
-            kinds.add("fresh" if node.d and min(reads) >= node.d else "carried")
+            kinds.add("".join(sorted(node.reads.get(node.d, {"unread"}))))
+            kinds.add("fresh" if node.d and min(node.reads) >= node.d else "carried")
     return kinds
 
 
