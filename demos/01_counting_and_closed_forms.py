@@ -4,9 +4,9 @@ Run: python3 demos/01_counting_and_closed_forms.py
 """
 from invpat import (
     closed_form_123,
-    closed_form_1234,
     closed_form_12345,
     count_avoiders,
+    motzkin,
 )
 
 print("involutions of [n] avoiding 123 (central binomial coefficients):")
@@ -16,7 +16,7 @@ for n in range(1, 9):
 
 print("\navoiding 1234 (Motzkin numbers):")
 print(" ", [count_avoiders(n, ["1234"]) for n in range(1, 10)])
-print(" ", [closed_form_1234(n) for n in range(1, 10)])
+print(" ", [motzkin(n) for n in range(1, 10)])
 
 print("\navoiding 12345 (products of Catalan numbers):")
 print(" ", [count_avoiders(n, ["12345"]) for n in range(1, 10)])

@@ -10,7 +10,6 @@ from .avoidance import (
     CountStore,
     closed_form_123,
     closed_form_231,
-    closed_form_1234,
     closed_form_12345,
     closed_form_123456,
     count_avoiders,
@@ -31,7 +30,6 @@ from .boards import (
     is_symmetric,
     make_placement,
     placement_contains,
-    transpose,
 )
 from .classify import (
     classify_sk,

@@ -255,9 +255,6 @@ def motzkin(n: int) -> int:
     return sum(comb(n, 2 * i) * comb(2 * i, i) // (i + 1) for i in range(n // 2 + 1))
 
 
-closed_form_1234 = motzkin
-
-
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 

@@ -100,11 +100,6 @@ def make_placement(shape, dots) -> Placement:
     return Placement(validate_shape(shape), frozenset((int(x), int(y)) for x, y in dots))
 
 
-def transpose(p: Placement) -> Placement:
-    """Reflect across the main diagonal; lands on the conjugate shape."""
-    return Placement(conjugate(p.shape), frozenset((y, x) for x, y in p.dots))
-
-
 def is_symmetric(p: Placement) -> bool:
     """True iff the placement equals its transpose."""
     return is_self_conjugate(p.shape) and all((y, x) in p.dots for x, y in p.dots)

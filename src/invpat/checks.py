@@ -4,11 +4,20 @@ Each check function returns a list of records
 ``{"check", "params", "lhs", "rhs", "pass"}`` comparing two quantities that
 are proved (or required) to be equal; run_checks collects them all.  These
 are the cross-checks the test suite and the ``verify`` CLI command run.
+
+Every sweep computes its records case by case, and each case runs inside
+one guard, ``_case``.  Every input a case hands the library is in that
+function's domain, so a ValueError raised there is a fault of the library,
+not bad input: each record of the case not yet given fails, with lhs ``-``
+and an rhs naming the error, and ``verify`` exits 1.  A bad limit is
+refused before any case runs (exit 2).  The shapes a sweep walks, and
+which records each shape gets, are settled outside its cases.
 """
 from __future__ import annotations
 
 import inspect
-from itertools import permutations
+from contextlib import contextmanager
+from itertools import chain, permutations
 
 from . import boards, classify, reduction, slide, tableaux
 from .avoidance import count_avoiders_with_column_constraint
@@ -26,9 +35,25 @@ def _record(check: str, params: str, lhs, rhs, ok: bool | None = None) -> dict:
     }
 
 
-def _error(exc: ValueError) -> str:
-    """A library fault met inside a sweep, as the rhs of its failing record."""
-    return f"{type(exc).__name__}: {exc}"
+@contextmanager
+def _case(records: list[dict], keys: list[tuple[str, str]]):
+    """Guard one case, whose records carry the ``(check, params)`` keys.
+
+    The body gives the records in key order through the yielded
+    ``add(lhs, rhs, ok=None)``, or through cases nested inside it that
+    cover the keys in the same order.  A ValueError fails every key not
+    yet given.
+    """
+    start = len(records)
+
+    def add(lhs, rhs, ok=None):
+        records.append(_record(*keys[len(records) - start], lhs, rhs, ok))
+
+    try:
+        yield add
+    except ValueError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        records.extend(_record(*key, "-", error, False) for key in keys[len(records) - start:])
 
 
 def _partitions_in_box(side: int):
@@ -50,25 +75,21 @@ def check_extreme_placements(max_side: int = 5) -> list[dict]:
     21; on self-conjugate boards those placements are symmetric.
     """
     records = []
+    sigmas = ((1, 2), (2, 1))
     for shape in _partitions_in_box(max_side):
         if len(shape) != (shape[0] if shape else 0):
             continue
-        full = list(boards.enumerate_full_placements(shape))
-        expect = 1 if full else 0
-        for name, sigma in (("12", (1, 2)), ("21", (2, 1))):
-            hits = boards.avoiding(full, [sigma])
-            ok = len(hits) == expect
-            if boards.is_self_conjugate(shape):
-                ok = ok and all(boards.is_symmetric(p) for p in hits)
-            records.append(
-                _record(
-                    "unique-extreme-placement",
-                    f"shape={boards.shape_to_text(shape)} pattern={name}",
-                    len(hits),
-                    expect,
-                    ok,
-                )
-            )
+        text = f"shape={boards.shape_to_text(shape)}"
+        keys = [("unique-extreme-placement", f"{text} pattern={perm_to_text(s)}") for s in sigmas]
+        with _case(records, keys) as add:
+            full = list(boards.enumerate_full_placements(shape))
+            expect = 1 if full else 0
+            for sigma in sigmas:
+                hits = boards.avoiding(full, [sigma])
+                ok = len(hits) == expect
+                if boards.is_self_conjugate(shape):
+                    ok = ok and all(boards.is_symmetric(p) for p in hits)
+                add(len(hits), expect, ok)
     return records
 
 
@@ -90,47 +111,42 @@ def _prefixes(j: int):
 def check_reduction_equivalence(max_side: int = 5) -> list[dict]:
     """Containment of prefix+suffix patterns on the parent board agrees
     with containment of the bare prefix on the reduced board, for every
-    placement, prefix, and small suffix set.  An error raised by the
-    reduction fails the records of its suffix set, which name it.
+    placement, prefix, and small suffix set.
     """
     records = []
     shapes = sorted(s for s in boards.enumerate_self_conjugate_shapes(max_side) if s)
     for mu in shapes:
-        placements = boards.symmetric_full_placements(mu)
         for j in (1, 2, 3):
             prefixes = _prefixes(j)
             for t in _suffix_sets(j):
-                # boards depend on (placement, t), patterns on (prefix, t)
-                patterns = [t.patterns_with_prefix(sigma) for sigma in prefixes]
-                goods = [0] * len(prefixes)
-                expect = len(placements)
-                try:
+                keys = [
+                    (
+                        "reduction-equivalence",
+                        f"mu={boards.shape_to_text(mu)} "
+                        f"sigma={perm_to_text(sigma)} "
+                        f"suffixes={sorted(t.suffixes)}",
+                    )
+                    for sigma in prefixes
+                ]
+                with _case(records, keys) as add:
+                    placements = boards.symmetric_full_placements(mu)
+                    # boards depend on (placement, t), patterns on (prefix, t)
+                    patterns = [t.patterns_with_prefix(sigma) for sigma in prefixes]
+                    goods = [0] * len(prefixes)
                     for p in placements:
                         rb = reduction.suffix_reduction(mu, p, t)
                         for i, (sigma, pats) in enumerate(zip(prefixes, patterns)):
                             if reduction.verify_reduction_equivalence(p, rb, sigma, pats):
                                 goods[i] += 1
-                except ValueError as exc:
-                    expect = _error(exc)  # a count never equals it
-                for sigma, good in zip(prefixes, goods):
-                    records.append(
-                        _record(
-                            "reduction-equivalence",
-                            f"mu={boards.shape_to_text(mu)} "
-                            f"sigma={perm_to_text(sigma)} "
-                            f"suffixes={sorted(t.suffixes)}",
-                            good,
-                            expect,
-                        )
-                    )
+                    for good in goods:
+                        add(good, len(placements))
     return records
 
 
 def check_class_decomposition(max_side: int = 4) -> list[dict]:
     """Grouping placements by their dots outside the reduced board splits
     the board into classes on which both prefixes count alike, making the
-    total avoider counts for exchanged prefixes equal; an error raised
-    there fails the record, which names it.
+    total avoider counts for exchanged prefixes equal.
     """
     records = []
     shapes = sorted(s for s in boards.enumerate_self_conjugate_shapes(max_side) if s)
@@ -138,25 +154,17 @@ def check_class_decomposition(max_side: int = 4) -> list[dict]:
     for mu in shapes:
         for j, (alpha, beta) in pairs.items():
             for t in _suffix_sets(j):
-                placements = boards.symmetric_full_placements(mu)
-                total_a = len(boards.avoiding(placements, t.patterns_with_prefix(alpha)))
-                total_b = len(boards.avoiding(placements, t.patterns_with_prefix(beta)))
-                try:
-                    ok = reduction.class_decomposition_check(mu, t, alpha, beta)
-                    rhs = total_b
-                except ValueError as exc:
-                    ok, rhs = False, _error(exc)
-                records.append(
-                    _record(
-                        "class-decomposition",
-                        f"mu={boards.shape_to_text(mu)} "
-                        f"alpha={perm_to_text(alpha)} beta={perm_to_text(beta)} "
-                        f"suffixes={sorted(t.suffixes)}",
-                        total_a,
-                        rhs,
-                        ok and total_a == total_b,
-                    )
+                params = (
+                    f"mu={boards.shape_to_text(mu)} "
+                    f"alpha={perm_to_text(alpha)} beta={perm_to_text(beta)} "
+                    f"suffixes={sorted(t.suffixes)}"
                 )
+                with _case(records, [("class-decomposition", params)]) as add:
+                    placements = boards.symmetric_full_placements(mu)
+                    total_a = len(boards.avoiding(placements, t.patterns_with_prefix(alpha)))
+                    total_b = len(boards.avoiding(placements, t.patterns_with_prefix(beta)))
+                    ok = reduction.class_decomposition_check(mu, t, alpha, beta)
+                    add(total_a, total_b, ok and total_a == total_b)
     return records
 
 
@@ -168,15 +176,15 @@ def check_column_constraint_square(n_max: int = 7) -> list[dict]:
     records = []
     for n in range(1, n_max + 1):
         for i in range(0, n + 1):
-            lhs = count_avoiders_with_column_constraint(n, ["123"], (1, 2), "left", i)
-            rhs = count_avoiders_with_column_constraint(n, ["321"], (2, 1), "right", i)
-            records.append(
-                _record("column-constraint-square", f"n={n} i={i}", lhs, rhs)
-            )
-            board = slide.flank_avoiding_count(boards.square(n), "123", i)
-            records.append(
-                _record("column-constraint-board-route", f"n={n} i={i}", lhs, board)
-            )
+            keys = [
+                (check, f"n={n} i={i}")
+                for check in ("column-constraint-square", "column-constraint-board-route")
+            ]
+            with _case(records, keys) as add:
+                lhs = count_avoiders_with_column_constraint(n, ["123"], (1, 2), "left", i)
+                rhs = count_avoiders_with_column_constraint(n, ["321"], (2, 1), "right", i)
+                add(lhs, rhs)
+                add(lhs, slide.flank_avoiding_count(boards.square(n), "123", i))
     return records
 
 
@@ -190,22 +198,15 @@ def check_top_row_counts(max_side: int = 6) -> list[dict]:
         if not shape or shape[-1] == shape[0]:
             continue
         for i in range(1, shape[-1] + 1):
-            lhs = slide.top_row_dot_count(shape, "123", i)
-            rhs = slide.top_row_dot_count(shape, "321", i)
-            records.append(
-                _record(
-                    "top-row-counts",
-                    f"shape={boards.shape_to_text(shape)} i={i}",
-                    lhs,
-                    rhs,
-                )
-            )
-    sq = boards.square(3)
-    lhs = slide.top_row_dot_count(sq, "123", 1)
-    rhs = slide.top_row_dot_count(sq, "321", 1)
-    records.append(
-        _record("top-row-counts-square-differ", "shape=3,3,3 i=1", lhs, rhs, lhs != rhs)
-    )
+            params = f"shape={boards.shape_to_text(shape)} i={i}"
+            with _case(records, [("top-row-counts", params)]) as add:
+                lhs = slide.top_row_dot_count(shape, "123", i)
+                add(lhs, slide.top_row_dot_count(shape, "321", i))
+    with _case(records, [("top-row-counts-square-differ", "shape=3,3,3 i=1")]) as add:
+        sq = boards.square(3)
+        lhs = slide.top_row_dot_count(sq, "123", 1)
+        rhs = slide.top_row_dot_count(sq, "321", 1)
+        add(lhs, rhs, lhs != rhs)
     return records
 
 
@@ -221,75 +222,59 @@ def check_flank_recurrences(max_side: int = 6) -> list[dict]:
     for shape in sorted(boards.enumerate_self_conjugate_shapes(max_side)):
         if not shape or (len(shape) >= 2 and shape[-1] == shape[0]):
             continue
+        text = f"shape={boards.shape_to_text(shape)}"
         if not boards.symmetric_full_placements(shape):
-            records.append(
-                _record(
-                    "flank-recurrence-empty-board",
-                    f"shape={boards.shape_to_text(shape)}",
-                    slide.flank_avoiding_count(shape, "123", 0),
-                    0,
-                )
-            )
+            with _case(records, [("flank-recurrence-empty-board", text)]) as add:
+                add(slide.flank_avoiding_count(shape, "123", 0), 0)
             continue
-        inner = slide.inner_shape(shape)
         narrow = shape[-1]
+        keys = []
         for pattern in ("123", "321"):
-            for i in range(1, narrow + 1):
-                lhs = slide.flank_avoiding_count(shape, pattern, i)
-                rhs = sum(
-                    slide.flank_avoiding_count(inner, pattern, j - 1)
-                    for j in range(i, narrow + 1)
-                )
-                records.append(
-                    _record(
-                        "flank-recurrence",
-                        f"shape={boards.shape_to_text(shape)} pattern={pattern} i={i}",
-                        lhs,
-                        rhs,
+            params = f"{text} pattern={pattern}"
+            keys += [("flank-recurrence", f"{params} i={i}") for i in range(1, narrow + 1)]
+            keys.append(("top-row-inner-link", params))
+        keys.append(("flank-trivial-at-one", text))
+        with _case(records, keys) as add:
+            inner = slide.inner_shape(shape)
+            for pattern in ("123", "321"):
+                for i in range(1, narrow + 1):
+                    lhs = slide.flank_avoiding_count(shape, pattern, i)
+                    rhs = sum(
+                        slide.flank_avoiding_count(inner, pattern, j - 1)
+                        for j in range(i, narrow + 1)
                     )
+                    add(lhs, rhs)
+                add(
+                    slide.top_row_dot_count(shape, pattern, 1),
+                    slide.flank_avoiding_count(inner, pattern, 0),
                 )
-            link_l = slide.top_row_dot_count(shape, pattern, 1)
-            link_r = slide.flank_avoiding_count(inner, pattern, 0)
-            records.append(
-                _record(
-                    "top-row-inner-link",
-                    f"shape={boards.shape_to_text(shape)} pattern={pattern}",
-                    link_l,
-                    link_r,
-                )
-            )
-        lhs = slide.flank_avoiding_count(shape, "123", 1)
-        rhs = slide.flank_avoiding_count(shape, "123", 0)
-        records.append(
-            _record(
-                "flank-trivial-at-one",
-                f"shape={boards.shape_to_text(shape)}",
-                lhs,
-                rhs,
-            )
-        )
+            lhs = slide.flank_avoiding_count(shape, "123", 1)
+            add(lhs, slide.flank_avoiding_count(shape, "123", 0))
     return records
 
 
 def check_slide_bijection(max_side: int = 6) -> list[dict]:
     """For every window the slide maps the 321-avoiding symmetric full
     placements with a descent-free window bijectively onto those with the
-    window shifted one column right, and the inverse round-trips.  Every
-    input is in the map's own domain or image, so an error raised there is
-    a fault of the slide and fails the record, which names it.
+    window shifted one column right, and the inverse round-trips.
     """
     records = []
     for shape in sorted(boards.enumerate_self_conjugate_shapes(max_side)):
         narrow = shape[-1] if shape else 0
         if narrow < 2:
             continue
-        pool = boards.avoiding(boards.symmetric_full_placements(shape), [(3, 2, 1)])
-        for i in range(1, narrow):
-            for j in range(1, narrow - i + 1):
-                domain = boards.avoiding(pool, [(2, 1)], columns=range(i, i + j))
-                image = boards.avoiding(pool, [(2, 1)], columns=range(i + 1, i + j + 1))
-                params = f"shape={boards.shape_to_text(shape)} i={i} j={j}"
-                try:
+        windows = [(i, j) for i in range(1, narrow) for j in range(1, narrow - i + 1)]
+        keys = [
+            ("slide-bijection", f"shape={boards.shape_to_text(shape)} i={i} j={j}")
+            for i, j in windows
+        ]
+        # the pool is shared by the windows of the shape, each its own case
+        with _case(records, keys):
+            pool = boards.avoiding(boards.symmetric_full_placements(shape), [(3, 2, 1)])
+            for (i, j), key in zip(windows, keys):
+                with _case(records, [key]) as add:
+                    domain = boards.avoiding(pool, [(2, 1)], columns=range(i, i + j))
+                    image = boards.avoiding(pool, [(2, 1)], columns=range(i + 1, i + j + 1))
                     forward = [slide.slide_transform(p, i, j) for p in domain]
                     ok = (
                         len(set(forward)) == len(domain)
@@ -303,20 +288,7 @@ def check_slide_bijection(max_side: int = 6) -> list[dict]:
                             for q in image
                         )
                     )
-                except ValueError as exc:
-                    records.append(
-                        _record("slide-bijection", params, len(domain), _error(exc), False)
-                    )
-                    continue
-                records.append(
-                    _record(
-                        "slide-bijection",
-                        params,
-                        len(domain),
-                        len(image),
-                        ok and len(domain) == len(image),
-                    )
-                )
+                    add(len(domain), len(image), ok and len(domain) == len(image))
     return records
 
 
@@ -326,14 +298,14 @@ def check_rsk_properties(n_max: int = 5) -> list[dict]:
     an involution on every shape in the box of side min(n_max, 4).
     """
     records = []
+    names = ("rsk-round-trip", "rsk-injective", "rsk-involution-symmetry", "rsk-reversal")
     for n in range(0, n_max + 1):
-        perms = list(permutations(range(1, n + 1)))
-        seen = set()
-        round_trips = 0
-        involution_match = 0
-        reversal = 0
-        expect = len(perms)
-        try:
+        with _case(records, [(name, f"n={n}") for name in names]) as add:
+            perms = list(permutations(range(1, n + 1)))
+            seen = set()
+            round_trips = 0
+            involution_match = 0
+            reversal = 0
             for w in perms:
                 p, q = rsk_pair = tableaux.rsk(w)
                 seen.add(rsk_pair)
@@ -343,29 +315,16 @@ def check_rsk_properties(n_max: int = 5) -> list[dict]:
                     involution_match += 1
                 if tableaux.check_reversal_property(w):
                     reversal += 1
-        except ValueError as exc:
-            expect = _error(exc)  # a count never equals it
-        records.append(_record("rsk-round-trip", f"n={n}", round_trips, expect))
-        records.append(_record("rsk-injective", f"n={n}", len(seen), expect))
-        records.append(_record("rsk-involution-symmetry", f"n={n}", involution_match, expect))
-        records.append(_record("rsk-reversal", f"n={n}", reversal, expect))
+            for got in (round_trips, len(seen), involution_match, reversal):
+                add(got, len(perms))
     for shape in _partitions_in_box(min(n_max, 4)):
         if not shape:
             continue
-        try:
+        params = f"shape={boards.shape_to_text(shape)}"
+        with _case(records, [("evacuation-involution", params)]) as add:
             tabs = list(tableaux.standard_tableaux(shape))
             good = sum(1 for t in tabs if tableaux.evacuation(tableaux.evacuation(t)) == t)
-            expect = len(tabs)
-        except ValueError as exc:
-            good, expect = 0, _error(exc)
-        records.append(
-            _record(
-                "evacuation-involution",
-                f"shape={boards.shape_to_text(shape)}",
-                good,
-                expect,
-            )
-        )
+            add(good, len(tabs))
     return records
 
 
@@ -374,16 +333,15 @@ def check_prefix_exchange(k_max: int = 5, n_max: int = 8) -> list[dict]:
     avoider counts for every common suffix.
     """
     records = []
-    for alpha, beta in (((1, 2), (2, 1)), ((1, 2, 3), (3, 2, 1))):
-        for rec in classify.verify_prefix_exchange(alpha, beta, k_max, n_max):
-            records.append(
-                _record(
-                    "prefix-exchange",
-                    f"{rec['pattern_a']} vs {rec['pattern_b']}",
-                    rec["counts_a"],
-                    rec["counts_b"],
-                )
-            )
+    pairs = [
+        classify.prefix_exchange_pairs(alpha, beta, k_max, n_max)
+        for alpha, beta in (((1, 2), (2, 1)), ((1, 2, 3), (3, 2, 1)))
+    ]
+    for pattern_a, pattern_b, ns in chain(*pairs):
+        params = f"{perm_to_text(pattern_a)} vs {perm_to_text(pattern_b)}"
+        with _case(records, [("prefix-exchange", params)]) as add:
+            rec = classify._pair_record(pattern_a, pattern_b, ns)
+            add(rec["counts_a"], rec["counts_b"])
     return records
 
 
@@ -404,9 +362,9 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
     """Run the named sweeps (all by default) and pool their records.
 
     Every name, and every size limit that is given, is checked before any
-    sweep runs: a limit that none of the chosen sweeps takes is refused.
-    Each given limit goes to the sweeps that take it; the others keep their
-    defaults.
+    sweep runs: a negative limit, or one that none of the chosen sweeps
+    takes, is refused.  Each given limit goes to the sweeps that take it;
+    the others keep their defaults.
     """
     chosen = list(ALL_CHECKS) if names is None else list(names)
     for name in chosen:
@@ -417,7 +375,9 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
     limits = {"max_side": max_side, "n_max": n_max, "k_max": k_max}
     limits = {k: v for k, v in limits.items() if v is not None}
     taken = {name: inspect.signature(ALL_CHECKS[name]).parameters for name in chosen}
-    for limit in limits:
+    for limit, value in limits.items():
+        if value < 0:
+            raise InvalidInputError(f"{limit} must be >= 0, got {value}")
         if not any(limit in params for params in taken.values()):
             raise InvalidInputError(
                 f"{limit} is taken by none of the chosen checks {chosen}"

@@ -139,11 +139,12 @@ def reproduce_table(
     return {"id": table_id, "title": golden["title"], "ns": list(ns), "rows": rows}
 
 
-def verify_prefix_exchange(
-    alpha: Perm, beta: Perm, k_max: int, n_max: int
-) -> list[dict]:
-    """For every ordering tau of j+1..k (j < k <= k_max), compare the
-    avoider counts of alpha+tau and beta+tau for n up to n_max.
+def prefix_exchange_pairs(alpha: Perm, beta: Perm, k_max: int, n_max: int):
+    """For every ordering tau of j+1..k (j < k <= k_max), the patterns
+    alpha+tau and beta+tau and the sizes k..n_max to count them at.
+
+    The prefixes and limits are checked on the call, before any pair is
+    made; the pairs come lazily.
     """
     alpha, beta = validate_perm(alpha), validate_perm(beta)
     j = len(alpha)
@@ -151,11 +152,20 @@ def verify_prefix_exchange(
         raise InvalidInputError("prefixes must be involutions of equal length")
     if k_max <= j:
         raise InvalidInputError("k_max must exceed the prefix length")
-    return [
-        _pair_record(alpha + tau, beta + tau, list(range(k, n_max + 1)))
+    if k_max > n_max:
+        raise InvalidInputError(f"k_max {k_max} exceeds n_max {n_max}")
+    return (
+        (alpha + tau, beta + tau, list(range(k, n_max + 1)))
         for k in range(j + 1, k_max + 1)
         for tau in permutations(range(j + 1, k + 1))
-    ]
+    )
+
+
+def verify_prefix_exchange(
+    alpha: Perm, beta: Perm, k_max: int, n_max: int
+) -> list[dict]:
+    """Compare the avoider counts of every pair of prefix_exchange_pairs."""
+    return [_pair_record(*pair) for pair in prefix_exchange_pairs(alpha, beta, k_max, n_max)]
 
 
 def _pair_record(pat_a: Perm, pat_b: Perm, ns: list[int]) -> dict:

@@ -9,10 +9,10 @@ from invpat import checks
 from invpat.avoidance import (
     closed_form_123,
     closed_form_231,
-    closed_form_1234,
     closed_form_12345,
     closed_form_123456,
     count_avoiders,
+    motzkin,
 )
 from invpat.classify import reproduce_table, scan_conjectures, verify_prefix_exchange
 from invpat.errors import TableMismatchError
@@ -69,7 +69,7 @@ def test_criterion_05_closed_forms():
         ok = ok and count_avoiders(n, ["123"]) == closed_form_123(n)
         ok = ok and count_avoiders(n, ["231"]) == closed_form_231(n)
     for n in range(1, 12):
-        ok = ok and count_avoiders(n, ["1234"]) == closed_form_1234(n)
+        ok = ok and count_avoiders(n, ["1234"]) == motzkin(n)
         ok = ok and count_avoiders(n, ["12345"]) == closed_form_12345(n)
         ok = ok and count_avoiders(n, ["123456"]) == closed_form_123456(n)
     report(5, "closed-form cross-checks", ok)

@@ -13,7 +13,6 @@ from invpat.avoidance import (
     _avoider_counts,
     closed_form_123,
     closed_form_231,
-    closed_form_1234,
     closed_form_12345,
     closed_form_123456,
     count_avoiders,
@@ -72,7 +71,7 @@ def test_single_pattern_counts_match_closed_forms():
     for n in range(1, 9):
         assert count_avoiders(n, ["123"]) == closed_form_123(n)
         assert count_avoiders(n, ["231"]) == closed_form_231(n)
-        assert count_avoiders(n, ["1234"]) == closed_form_1234(n)
+        assert count_avoiders(n, ["1234"]) == motzkin(n)
         assert count_avoiders(n, ["12345"]) == closed_form_12345(n)
         assert count_avoiders(n, ["123456"]) == closed_form_123456(n)
 

@@ -65,7 +65,7 @@ def test_a_faulty_slide_fails_the_sweep_with_exit_1(monkeypatch, capsys, name, f
     failed = [r for r in checks.check_slide_bijection(5) if not r["pass"]]
     assert failed and all(error in r["rhs"] for r in failed)
     assert run(["verify", "--check", "slide", "--max-side", "5", "--no-timing"]) == 1
-    record = "FAIL slide-bijection shape=5,5,5,5,5 i=1 j=3: 4 vs InvalidPlacementError: "
+    record = "FAIL slide-bijection shape=5,5,5,5,5 i=1 j=3: - vs InvalidPlacementError: "
     assert record + error in capsys.readouterr().out
 
 
@@ -99,8 +99,8 @@ def test_a_faulty_reduction_fails_the_sweeps_with_exit_1(monkeypatch, capsys):
     argv = ["verify", "--check", "reduction,decomposition", "--max-side", "3", "--no-timing"]
     assert run(argv) == 1
     out = capsys.readouterr().out
-    assert f"FAIL reduction-equivalence mu=3,3,3 sigma=1 suffixes=[(2,)]: 0 vs {error}" in out
-    assert f"FAIL class-decomposition mu=3,3,3 alpha=12 beta=21 suffixes=[(3,)]: 3 vs {error}" in out
+    assert f"FAIL reduction-equivalence mu=3,3,3 sigma=1 suffixes=[(2,)]: - vs {error}" in out
+    assert f"FAIL class-decomposition mu=3,3,3 alpha=12 beta=21 suffixes=[(3,)]: - vs {error}" in out
 
 
 def _evacuated_shapes(records):
@@ -134,7 +134,7 @@ def test_a_faulty_rsk_inverse_fails_the_sweep_with_exit_1(monkeypatch, capsys):
     ]
     assert all(r["params"] == "n=3" and r["rhs"] == error for r in failed)
     assert run(["verify", "--check", "rsk", "--n-max", "3", "--no-timing"]) == 1
-    assert f"FAIL rsk-round-trip n=3: 0 vs {error}" in capsys.readouterr().out
+    assert f"FAIL rsk-round-trip n=3: - vs {error}" in capsys.readouterr().out
 
 
 def test_a_faulty_evacuation_fails_the_sweep_with_exit_1(monkeypatch):
@@ -286,6 +286,106 @@ def test_a_planted_fault_fails_the_sweep_with_exit_1(monkeypatch, name):
     assert (sum(not r["pass"] for r in records), len(records)) == want
     options = [f"--{limit.replace('_', '-')}={value}" for limit, value in limits.items()]
     assert run(["verify", "--check", name, *options, "--no-timing"]) == 1
+
+
+def _raise_planted(*args):
+    raise InvalidInputError("planted")
+
+
+def _no_full_placements_on_four_rows(monkeypatch):
+    real = boards.enumerate_full_placements
+
+    def full(shape):
+        return _raise_planted() if len(shape) == 4 else real(shape)
+
+    monkeypatch.setattr(boards, "enumerate_full_placements", full)
+
+
+def _no_right_flank_over_the_whole_square(monkeypatch):
+    real = checks.count_avoiders_with_column_constraint
+
+    def count(n, main, flank, side, i):
+        return _raise_planted() if side == "right" and i == n else real(n, main, flank, side, i)
+
+    monkeypatch.setattr(checks, "count_avoiders_with_column_constraint", count)
+
+
+def _no_321_top_row_dot_in_the_last_column(monkeypatch):
+    real = slide.top_row_dot_count
+
+    def count(shape, pattern, i):
+        return _raise_planted() if pattern == "321" and i == shape[-1] else real(shape, pattern, i)
+
+    monkeypatch.setattr(slide, "top_row_dot_count", count)
+
+
+def _inner_shape_trimmed_twice(monkeypatch):
+    # the twice-trimmed board is empty, square or too narrow for the
+    # flank counts, which then raise on the sweep's own inputs
+    real = slide.inner_shape
+    monkeypatch.setattr(slide, "inner_shape", lambda shape: real(real(shape)))
+
+
+def _no_count_of_123_at_5(monkeypatch):
+    real = classify.count_avoiders
+
+    def count(n, patterns, store=None):
+        return _raise_planted() if n == 5 and patterns == [(1, 2, 3)] else real(n, patterns, store)
+
+    monkeypatch.setattr(classify, "count_avoiders", count)
+
+
+# sweep -> (fault raising a ValueError, limits, failing records and all
+# records under the fault, records failed by the error, what their rhs starts with)
+RAISING = {
+    "extremes": (
+        _no_full_placements_on_four_rows, {"max_side": 5}, (40, 200, 40),
+        ("InvalidInputError: planted",),
+    ),
+    "columns": (
+        _no_right_flank_over_the_whole_square, {"n_max": 7}, (14, 70, 14),
+        ("InvalidInputError: planted",),
+    ),
+    "toprow": (
+        _no_321_top_row_dot_in_the_last_column, {"max_side": 6}, (57, 100, 57),
+        ("InvalidInputError: planted",),
+    ),
+    "recurrences": (
+        _inner_shape_trimmed_twice, {"max_side": 6}, (207, 284, 151),
+        ("InvalidShapeError: ", "InvalidInputError: i must be in 0.."),
+    ),
+    "prefix": (
+        _no_count_of_123_at_5, {"k_max": 4, "n_max": 7}, (1, 4, 1),
+        ("InvalidInputError: planted",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RAISING))
+def test_a_library_error_fails_the_records_of_its_case_with_exit_1(monkeypatch, capsys, name):
+    # a ValueError raised inside a sweep is a library fault, not bad input (exit 2)
+    plant, limits, want, errors = RAISING[name]
+    plant(monkeypatch)
+    records = checks.ALL_CHECKS[name](**limits)
+    failed = [r for r in records if not r["pass"]]
+    errored = [r for r in failed if r["lhs"] == "-"]
+    assert (len(failed), len(records), len(errored)) == want
+    assert all(r["rhs"].startswith(errors) for r in errored)
+    options = [f"--{limit.replace('_', '-')}={value}" for limit, value in limits.items()]
+    assert run(["verify", "--check", name, *options, "--no-timing"]) == 1
+    first = errored[0]
+    line = f"FAIL {first['check']} {first['params']}: - vs {first['rhs']}\n"
+    assert line in capsys.readouterr().out
+
+
+def test_the_prefix_limits_are_refused_before_any_count(monkeypatch):
+    counted = []
+    monkeypatch.setattr(classify, "count_avoiders", lambda *args: counted.append(args))
+    # 3 is above the prefix 12 but not above 123; 9 is above n_max = 8
+    for k_max in (3, 9):
+        with pytest.raises(InvalidInputError):
+            checks.run_checks(["prefix"], k_max=k_max)
+    assert counted == []
 
 
 # each sweep's planted-fault controls

@@ -157,6 +157,9 @@ def test_prefix_exchange_small():
         verify_prefix_exchange((1, 2), (2, 3, 1), 4, 7)
     with pytest.raises(InvalidInputError):
         verify_prefix_exchange((1, 2), (2, 1), 2, 7)
+    # a pattern longer than n_max has no count to compare
+    with pytest.raises(InvalidInputError, match="k_max 8 exceeds n_max 7"):
+        verify_prefix_exchange((1, 2), (2, 1), 8, 7)
 
 
 def test_pair_record_counts_each_pattern_on_its_own():

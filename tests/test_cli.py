@@ -249,6 +249,22 @@ def test_verify_subset(capsys):
         assert out == "" and "taken by none of the chosen checks" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "extremes", "--max-side", "-1"], "max_side must be >= 0"),
+        (["--check", "rsk", "--n-max", "-1"], "n_max must be >= 0"),
+        (["--check", "columns", "--n-max", "-1"], "n_max must be >= 0"),
+        # without the check, 38! orderings of the suffix entries
+        (["--check", "prefix", "--k-max", "40"], "k_max 40 exceeds n_max 8"),
+    ],
+)
+def test_verify_refuses_a_bad_limit_before_any_sweep(capsys, argv, message):
+    assert run(["verify", *argv, "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and message in err
+
+
 def test_scan_exits_zero(capsys):
     assert run(
         ["scan", "--n-max", "7", "--shape-side", "3", "--k-max", "2", "--no-timing"]
