@@ -81,37 +81,36 @@ def square(n: int) -> Shape:
 
 @dataclass(frozen=True)
 class Placement:
-    """Dots on a shape, at most one per row and per column."""
+    """Dots on a shape, at most one per row and per column, given as any
+    iterable of boxes and kept as a tuple sorted by column."""
 
     shape: Shape
-    dots: frozenset[Box]
+    dots: tuple[Box, ...]
 
     def __post_init__(self):
-        for x, y in self.dots:
+        dots = tuple(sorted(self.dots))
+        object.__setattr__(self, "dots", dots)
+        for x, y in dots:
             if not box_in_shape(self.shape, x, y):
                 raise InvalidPlacementError(f"dot ({x},{y}) outside shape {self.shape}")
-        cols = [x for x, _ in self.dots]
-        rows = [y for _, y in self.dots]
-        if len(set(cols)) != len(cols) or len(set(rows)) != len(rows):
+        if len({x for x, _ in dots}) != len(dots) or len({y for _, y in dots}) != len(dots):
             raise InvalidPlacementError("two dots share a row or column")
 
 
 def make_placement(shape, dots) -> Placement:
-    return Placement(validate_shape(shape), frozenset((int(x), int(y)) for x, y in dots))
+    """A placement from parsed input; a dot given twice is kept once."""
+    return Placement(validate_shape(shape), {(int(x), int(y)) for x, y in dots})
 
 
 def is_symmetric(p: Placement) -> bool:
     """True iff the placement equals its transpose."""
-    return is_self_conjugate(p.shape) and all((y, x) in p.dots for x, y in p.dots)
+    return is_self_conjugate(p.shape) and p.dots == tuple(sorted((y, x) for x, y in p.dots))
 
 
 def is_full(p: Placement) -> bool:
     """True iff every row and every column of the shape holds exactly one dot."""
-    n_rows = len(p.shape)
     n_cols = p.shape[0] if p.shape else 0
-    if n_rows != len(p.dots) or n_cols != len(p.dots):
-        return False
-    return len({x for x, _ in p.dots}) == len(p.dots)
+    return len(p.shape) == len(p.dots) == n_cols
 
 
 def graph_of(pi: Perm) -> Placement:
@@ -120,7 +119,7 @@ def graph_of(pi: Perm) -> Placement:
     The graph is symmetric about the main diagonal iff pi is an involution.
     """
     n = len(pi)
-    return Placement(square(n), frozenset((i + 1, v) for i, v in enumerate(pi)))
+    return Placement(square(n), tuple(enumerate(pi, start=1)))
 
 
 def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
@@ -141,9 +140,9 @@ def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
 def avoiding(placements, patterns, columns=None) -> list[Placement]:
     """The placements, in order, that contain none of the patterns.
 
-    Each placement's dots are sorted by column once, and kept only in
-    ``columns`` when it is given; then the compiled board matchers run on
-    them, shortest pattern first.
+    The compiled board matchers, shortest pattern first, read each
+    placement's dots in their stored column order, only those in
+    ``columns`` when it is given.
 
     >>> pool = list(enumerate_full_placements((3, 3, 3)))
     >>> len(avoiding(pool, [(1, 2, 3), (3, 2, 1)]))
@@ -155,9 +154,7 @@ def avoiding(placements, patterns, columns=None) -> list[Placement]:
     allowed = None if columns is None else set(columns)
     found = []
     for p in placements:
-        dots = sorted(p.dots)
-        if allowed is not None:
-            dots = [d for d in dots if d[0] in allowed]
+        dots = p.dots if allowed is None else [d for d in p.dots if d[0] in allowed]
         for match in matchers:
             if match(dots, p.shape):
                 break
@@ -169,16 +166,13 @@ def avoiding(placements, patterns, columns=None) -> list[Placement]:
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
     """Yield every full placement on the shape, columns filled left to right.
 
-    >>> [sorted(p.dots) for p in enumerate_full_placements((2, 1))]
-    [[(1, 2), (2, 1)]]
+    >>> [p.dots for p in enumerate_full_placements((2, 1))]
+    [((1, 2), (2, 1))]
     """
     shape = validate_shape(shape)
     n_rows = len(shape)
     n_cols = shape[0] if shape else 0
     if n_rows != n_cols:
-        return
-    if n_rows == 0:
-        yield Placement((), frozenset())
         return
     heights = conjugate(shape)
     used = [False] * (n_rows + 1)
@@ -186,7 +180,7 @@ def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
 
     def fill(x: int) -> Iterator[Placement]:
         if x > n_cols:
-            yield Placement(shape, frozenset(dots))
+            yield Placement(shape, tuple(dots))
             return
         for y in range(1, heights[x - 1] + 1):
             if not used[y]:
@@ -213,7 +207,7 @@ def enumerate_symmetric_full_placements(shape: Shape) -> Iterator[Placement]:
     """
     shape = _self_conjugate_shape(shape)
     for pi in _pairings(shape):
-        yield Placement(shape, frozenset(enumerate(pi, start=1)))
+        yield Placement(shape, tuple(enumerate(pi, start=1)))
 
 
 @cache
@@ -265,7 +259,7 @@ def shape_from_text(text: str) -> Shape:
 
 def placement_to_text(p: Placement) -> str:
     """Shape, a semicolon, then space-separated 'x,y' dot pairs."""
-    dots = " ".join(f"{x},{y}" for x, y in sorted(p.dots))
+    dots = " ".join(f"{x},{y}" for x, y in p.dots)
     return f"{shape_to_text(p.shape)};{dots}".rstrip()
 
 

@@ -117,7 +117,7 @@ def cmd_placements(args):
         pool = boards.enumerate_symmetric_full_placements(shape)
     avoid = parse_patterns(args.avoid) if args.avoid else []
     found = boards.avoiding(pool, avoid)
-    found.sort(key=lambda p: sorted(p.dots))
+    found.sort(key=lambda p: p.dots)
     params = {
         "shape": boards.shape_to_text(shape),
         "symmetric": not args.all,

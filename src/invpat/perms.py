@@ -328,7 +328,7 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
 
     The word form is called as match(seq), seq any sequence of distinct
     integers (the involution rows are bytes); the board form as
-    match(dots, shape) with dots sorted by column.  The word form of one
+    match(dots, shape) with dots in Placement's column order.  The word form of one
     monotone pattern, 12...k or k...1 with k >= 2, is a patience-sorting
     pass over seq (_patience) that keeps its k - 1 tails in local
     variables; every other unit, and every board form, is compiled into

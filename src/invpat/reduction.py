@@ -72,12 +72,11 @@ class ReducedBoard:
 def _marked_heights(p: Placement, t: SuffixSet) -> list[int]:
     # The heights of columns 1..n of the marked region.  Each column is no
     # taller than the one before, so y only comes down: at most 2n matcher
-    # calls.  p is full, so dots[x:] are the dots right of column x.
+    # calls.  p is full, so p.dots[x:] are the dots right of column x.
     matchers = [_matcher((pattern_of(tau),), board=True) for tau in t.suffixes]
-    dots = sorted(p.dots)
 
     def marked(x: int, y: int) -> bool:
-        northeast = [d for d in dots[x:] if d[1] > y]
+        northeast = [d for d in p.dots[x:] if d[1] > y]
         return any(match(northeast, p.shape) for match in matchers)
 
     heights = []
@@ -109,7 +108,7 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
     region = [min(max(h, m), top) for h, m, top in zip(heights, mirror, mu)]
     inside = [(x, y) for x, y in p.dots if y <= region[x - 1]]
 
-    kept_cols = tuple(sorted(x for x, _ in inside))
+    kept_cols = tuple(x for x, _ in inside)
     kept_rows = tuple(sorted(y for _, y in inside))
     if kept_cols != kept_rows:
         raise InvalidPlacementError(
@@ -121,7 +120,7 @@ def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
         sum(1 for x in kept_cols if y <= region[x - 1]) for y in kept_rows
     )
     rank = {v: r for r, v in enumerate(kept_cols, start=1)}
-    induced = Placement(shape, frozenset((rank[x], rank[y]) for x, y in inside))
+    induced = Placement(shape, [(rank[x], rank[y]) for x, y in inside])
     if not boards.is_symmetric(induced):
         raise InvalidPlacementError(f"induced placement is not symmetric: {induced}")
     if not boards.is_full(induced):

@@ -71,7 +71,7 @@ def top_row_dot_count(shape: Shape, pattern: str, i: int) -> int:
     top = shape[0]
     col = i if pattern == "123" else shape[-1] + 1 - i
     sigma = (1, 2, 3) if pattern == "123" else (3, 2, 1)
-    pool = [p for p in boards.symmetric_full_placements(shape) if (col, top) in p.dots]
+    pool = [p for p in boards.symmetric_full_placements(shape) if p.dots[col - 1][1] == top]
     return len(boards.avoiding(pool, [sigma]))
 
 
@@ -115,7 +115,7 @@ class SlideContext:
     w: int
 
 
-def _checked_window(p: Placement, i: int, j: int, lo: int) -> list[tuple[int, int]]:
+def _checked_window(p: Placement, i: int, j: int, lo: int) -> tuple[tuple[int, int], ...]:
     """Validate the input of the slide or its inverse at (i, j) and return
     the dots of columns lo..lo+j-1, which must avoid 21."""
     shape = p.shape
@@ -127,7 +127,7 @@ def _checked_window(p: Placement, i: int, j: int, lo: int) -> list[tuple[int, in
         raise InvalidInputError("placement must be symmetric and full")
     if boards.placement_contains(p, (3, 2, 1)):
         raise InvalidInputError("placement must avoid 321")
-    window = sorted(d for d in p.dots if lo <= d[0] < lo + j)
+    window = p.dots[lo - 1 : lo - 1 + j]
     heights = [y for _, y in window]
     if any(heights[a] > heights[a + 1] for a in range(len(heights) - 1)):
         raise InvalidInputError(f"columns {lo}..{lo + j - 1} must avoid 21")
@@ -146,9 +146,9 @@ def slide_context(p: Placement, i: int, j: int) -> SlideContext:
     on_diag = tuple(d for d in window if d[1] == d[0])
     above = tuple(d for d in window if d[1] > d[0])
     # within the window: below-diagonal dots first, then diagonal, then above
-    if window != sorted(below) + sorted(on_diag) + sorted(above):
+    if window != below + on_diag + above:
         raise InvalidPlacementError(f"window {window} is not ordered below, on, above")
-    (w,) = [y for x, y in p.dots if x == i + j]
+    w = p.dots[i + j - 1][1]
     return SlideContext(i, j, below, on_diag, above, w)
 
 
@@ -179,7 +179,7 @@ def _relabel(p: Placement, coords: dict[int, int], special: _Special, label: str
         targets, name = special.get(dot, (moved, label))
         new_dots.update(targets)
         moves += [(dot, to, name) for to in targets if to != dot]
-    return Placement(p.shape, frozenset(new_dots)), moves
+    return Placement(p.shape, new_dots), moves
 
 
 def _reseat_map(i: int, j: int, v: int) -> dict[int, int]:
@@ -267,7 +267,7 @@ def slide_transform(p: Placement, i: int, j: int) -> Placement:
 def slide_inverse_with_trace(p: Placement, i: int, j: int):
     """Inverse of the slide map, with its move list."""
     window = _checked_window(p, i, j, i + 1)
-    (u,) = [y for x, y in p.dots if x == i]
+    u = p.dots[i - 1][1]
     i_j = i + j
     if all(y > u for _, y in window):
         return p, []  # image of the identity case

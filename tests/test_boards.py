@@ -337,3 +337,46 @@ def test_text_round_trips():
     assert placement_from_text(placement_to_text(p)) == p
     empty = Placement((), frozenset())
     assert placement_from_text(placement_to_text(empty)) == empty
+
+
+def test_a_dot_given_twice_is_one_dot():
+    assert placement_from_text("2,2;1,1 1,1").dots == ((1, 1),)
+    assert make_placement((2, 2), [(2, 1), (1, 2), (2, 1)]).dots == ((1, 2), (2, 1))
+
+
+@st.composite
+def thinned_graphs(draw):
+    # the dots of a permutation's graph that fall in a shape, each kept or
+    # dropped: mostly asymmetric, on shapes that need not be self-conjugate
+    pi = draw(st.integers(0, 6).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    n = len(pi)
+    parts = st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n).map(sorted)
+    shape = draw(st.one_of(st.just(square(n)), parts.map(lambda s: tuple(reversed(s)))))
+    boxes = [(x, y) for x, y in enumerate(pi, start=1) if box_in_shape(shape, x, y)]
+    return Placement(shape, [d for d in boxes if draw(st.booleans()) or draw(st.booleans())])
+
+
+PLACEMENTS = st.one_of(thinned_symmetric_placements(), thinned_graphs())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PLACEMENTS, st.data())
+def test_dots_are_kept_in_column_order_whatever_they_are_given_in(p, data):
+    boxes = list(p.dots)
+    for given_dots in (frozenset(boxes), data.draw(st.permutations(boxes)), tuple(boxes[::-1])):
+        q = Placement(p.shape, given_dots)
+        assert q == p and hash(q) == hash(p)
+        assert type(q.dots) is tuple and q.dots == tuple(sorted(boxes))
+        assert [x for x, _ in q.dots] == sorted({x for x, _ in boxes})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PLACEMENTS)
+def test_symmetry_and_fullness_agree_with_their_set_definitions(p):
+    dots = set(p.dots)
+    transposes = {(y, x) for x, y in dots}
+    assert is_symmetric(p) == (is_self_conjugate(p.shape) and transposes == dots)
+    width = p.shape[0] if p.shape else 0
+    columns, rows = {x for x, _ in dots}, {y for _, y in dots}
+    full = columns == set(range(1, width + 1)) and rows == set(range(1, len(p.shape) + 1))
+    assert is_full(p) == full

@@ -3,7 +3,12 @@ import pytest
 
 from invpat import boards, checks, classify, reduction, slide, tableaux
 from invpat.cli import run
-from invpat.errors import InvalidInputError, InvalidPlacementError, InvalidTableauError
+from invpat.errors import (
+    InvalidInputError,
+    InvalidPlacementError,
+    InvalidShapeError,
+    InvalidTableauError,
+)
 from invpat.perms import validate_perm
 
 
@@ -376,6 +381,28 @@ def test_a_library_error_fails_the_records_of_its_case_with_exit_1(monkeypatch, 
     first = errored[0]
     line = f"FAIL {first['check']} {first['params']}: - vs {first['rhs']}\n"
     assert line in capsys.readouterr().out
+
+
+def test_a_placement_error_on_one_board_fails_only_its_recurrence_records(monkeypatch, capsys):
+    # which records a board gets is read off its shape, so an error from
+    # the placements of (3, 2, 1) fails that board's five records and no more
+    real = boards.symmetric_full_placements
+
+    def placements(shape):
+        if shape == (3, 2, 1):
+            raise InvalidShapeError("planted")
+        return real(shape)
+
+    monkeypatch.setattr(boards, "symmetric_full_placements", placements)
+    records = checks.check_flank_recurrences(4)
+    failed = [r for r in records if not r["pass"]]
+    assert (len(failed), len(records)) == (5, 58)
+    assert all(r["rhs"] == "InvalidShapeError: planted" for r in failed)
+    assert all(r["params"].startswith("shape=3,2,1") for r in failed)
+    assert run(["verify", "--check", "recurrences", "--max-side", "4", "--no-timing"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL flank-trivial-at-one shape=3,2,1: - vs InvalidShapeError: planted\n" in out
+    assert out.endswith("53/58 checks passed\n")
 
 
 def test_the_prefix_limits_are_refused_before_any_count(monkeypatch):

@@ -154,6 +154,15 @@ def test_slide_command_with_trace(capsys):
     assert out.splitlines()[0] == "4,4,4,4;1,1 2,3 3,2 4,4"
 
 
+def test_a_placement_typed_with_a_dot_twice_holds_it_once(capsys):
+    argv = ["--placement", "4,4,4,4;1,2 2,1 3,3 4,4 2,1", "--i", "1", "--j", "2", "--no-timing"]
+    assert run(["slide", *argv, "--inverse"]) == 0
+    assert out_of(capsys)[0].splitlines()[0] == "4,4,4,4;1,1 2,3 3,2 4,4"
+    argv = ["--suffixes", "3", "--prefix-length", "2", "--prefix", "21", "--no-timing"]
+    assert run(["reduce", "--placement", "4,4,4,4;1,2 2,1 3,4 4,3 1,2", *argv]) == 0
+    assert out_of(capsys)[0].splitlines()[:2] == ["shape: 2,2", "induced: 2,2;1,2 2,1"]
+
+
 def test_table_csv_header(capsys):
     assert run(["table", "--id", "T1", "--format", "csv", "--no-timing"]) == 0
     out, _ = out_of(capsys)

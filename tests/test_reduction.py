@@ -89,7 +89,7 @@ def test_no_occurrence_reduces_to_empty_board():
     p = graph_of((1, 2, 3))  # increasing, avoids any descent suffix
     rb = suffix_reduction((3, 3, 3), p, suffix_set(1, [(3, 2)]))
     assert rb.shape == ()
-    assert rb.induced.dots == frozenset()
+    assert rb.induced.dots == ()
 
 
 def test_equivalence_sweep_small():
