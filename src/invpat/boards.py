@@ -15,8 +15,8 @@ from itertools import accumulate
 from operator import lt
 from typing import Iterator
 
-from .errors import InvalidPlacementError, InvalidShapeError
-from .perms import Perm, _matcher, _pairings
+from .errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
+from .perms import Perm, _ints, _matcher, _pairings
 
 Shape = tuple[int, ...]
 Box = tuple[int, int]
@@ -254,7 +254,7 @@ def shape_from_text(text: str) -> Shape:
     text = text.strip()
     if text in ("", "-"):
         return ()
-    return validate_shape(tuple(int(p) for p in text.split(",")))
+    return validate_shape(tuple(_ints(text, "shape", text)))
 
 
 def placement_to_text(p: Placement) -> str:
@@ -266,8 +266,7 @@ def placement_to_text(p: Placement) -> str:
 def placement_from_text(text: str) -> Placement:
     shape_part, _, dots_part = text.partition(";")
     shape = shape_from_text(shape_part)
-    dots = []
-    for token in dots_part.split():
-        x, y = token.split(",")
-        dots.append((int(x), int(y)))
+    dots = [_ints(token, "placement", text) for token in dots_part.split()]
+    if any(len(dot) != 2 for dot in dots):
+        raise InvalidInputError(f"placement text {text!r} has a dot that is not x,y")
     return make_placement(shape, dots)

@@ -364,9 +364,9 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
     """Run the named sweeps (all by default) and pool their records.
 
     Every name, and every size limit that is given, is checked before any
-    sweep runs: a negative limit, or one that none of the chosen sweeps
-    takes, is refused.  Each given limit goes to the sweeps that take it;
-    the others keep their defaults.
+    sweep runs: a repeated name, a negative limit, or one that none of the
+    chosen sweeps takes, is refused.  Each given limit goes to the sweeps
+    that take it; the others keep their defaults.
     """
     chosen = list(ALL_CHECKS) if names is None else list(names)
     for name in chosen:
@@ -374,6 +374,8 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
             raise InvalidInputError(
                 f"unknown check {name!r}; choose from {sorted(ALL_CHECKS)}"
             )
+        if chosen.count(name) > 1:
+            raise InvalidInputError(f"check {name!r} is named more than once")
     limits = {"max_side": max_side, "n_max": n_max, "k_max": k_max}
     limits = {k: v for k, v in limits.items() if v is not None}
     taken = {name: inspect.signature(ALL_CHECKS[name]).parameters for name in chosen}

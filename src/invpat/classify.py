@@ -197,17 +197,22 @@ def scan_conjectures(n_max: int, shape_side: int = 5, k_max: int = 4) -> list[di
 
     Square boards: the four conjectured pattern pairs, counted up to n_max.
     Self-conjugate boards with first part <= shape_side: the increasing
-    pattern of each length k <= k_max against the decreasing one.
+    pattern of each length k, 2 <= k <= k_max, against the decreasing one.
     """
     from . import boards
     from .avoidance import lambda_sym
 
+    longest = max(len(a) for a, _ in CONJECTURED_PAIRS)
+    if n_max <= longest:
+        raise InvalidInputError(f"n_max must exceed {longest}, the longest pair, got {n_max}")
+    if k_max < 2:
+        raise InvalidInputError(f"k_max must be >= 2, got {k_max}")
+    shapes = sorted(boards.enumerate_self_conjugate_shapes(shape_side))
     records = []
     for text_a, text_b in CONJECTURED_PAIRS:
         pat_a, pat_b = perm_from_text(text_a), perm_from_text(text_b)
         ns = list(range(len(pat_a) + 1, n_max + 1))
         records.append({"kind": "square-pair", **_pair_record(pat_a, pat_b, ns)})
-    shapes = sorted(boards.enumerate_self_conjugate_shapes(shape_side))
     for k in range(2, k_max + 1):
         up = tuple(range(1, k + 1))
         down = tuple(range(k, 0, -1))

@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import signal
 import sys
 import time
 
 from . import __version__, boards, checks, classify, reduction, slide, tableaux
 from .avoidance import CountStore, count_avoiders, pattern_set_key
 from .errors import InvalidInputError, TableMismatchError
-from .perms import perm_from_text, perm_to_text
+from .perms import _ints, perm_from_text, perm_to_text
 
 CACHE_ENV = "INVPAT_CACHE"
 
@@ -26,54 +28,29 @@ def parse_patterns(text: str) -> list[tuple[int, ...]]:
 
     '1234,4321' and '[10,2,3,4,5,6,7,8,9,1],123' are both accepted.
     """
-    items: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise InvalidInputError(f"unbalanced brackets in {text!r}")
-        elif ch == "," and depth == 0:
-            items.append(cur)
-            cur = ""
-            continue
-        cur += ch
-    if depth != 0:
-        raise InvalidInputError(f"unbalanced brackets in {text!r}")
-    items.append(cur)
     out = []
-    for item in items:
+    # a comma inside brackets is followed by a ']' before any '['
+    for item in re.split(r",(?![^[]*\])", text):
         item = item.strip()
         if not item:
             raise InvalidInputError(f"empty pattern in {text!r}")
         if item.startswith("[") and item.endswith("]"):
             item = item[1:-1]
+        if "[" in item or "]" in item:
+            raise InvalidInputError(f"unbalanced brackets in {text!r}")
         out.append(perm_from_text(item))
     return out
 
 
 def _parse_suffixes(text: str, j: int) -> reduction.SuffixSet:
-    suffixes = []
-    for token in text.split("|"):
-        token = token.strip()
-        values = (
-            [int(v) for v in token.split(",")]
-            if "," in token
-            else [int(ch) for ch in token]
-        )
-        suffixes.append(tuple(values))
+    suffixes = [_ints(token, "suffix set", text, digits=True) for token in text.split("|")]
     return reduction.suffix_set(j, suffixes)
 
 
 def _placement_arg(args) -> boards.Placement:
-    if getattr(args, "perm", None):
+    if args.perm is not None:
         return boards.graph_of(perm_from_text(args.perm))
-    if getattr(args, "placement", None):
-        return boards.placement_from_text(args.placement)
-    raise InvalidInputError("provide --perm or --placement")
+    return boards.placement_from_text(args.placement)
 
 
 def _store(args) -> CountStore | None:
@@ -115,7 +92,7 @@ def cmd_placements(args):
         pool = boards.enumerate_full_placements(shape)
     else:
         pool = boards.enumerate_symmetric_full_placements(shape)
-    avoid = parse_patterns(args.avoid) if args.avoid else []
+    avoid = parse_patterns(args.avoid) if args.avoid is not None else []
     found = boards.avoiding(pool, avoid)
     found.sort(key=lambda p: p.dots)
     params = {
@@ -132,17 +109,15 @@ def cmd_placements(args):
 
 
 def cmd_rsk(args):
-    if args.p or args.q:
-        if not (args.p and args.q):
-            raise InvalidInputError("--p and --q must be given together")
+    if bool(args.p) != bool(args.q) or bool(args.perm) == bool(args.p):
+        raise InvalidInputError("provide --perm, or --p with --q, but not both")
+    if args.p:
         p = tableaux.tableau_from_text(args.p)
         q = tableaux.tableau_from_text(args.q)
         word = tableaux.rsk_inverse(p, q)
         params = {"p": args.p, "q": args.q}
         results = [{"word": perm_to_text(word)}]
         return params, results, [perm_to_text(word)], None
-    if not args.perm:
-        raise InvalidInputError("provide --perm, or --p with --q")
     w = perm_from_text(args.perm)
     p, q = tableaux.rsk(w)
     ev = tableaux.evacuation(q)
@@ -178,22 +153,20 @@ def cmd_reduce(args):
         "kept_columns": list(rb.kept_columns),
         "kept_rows": list(rb.kept_rows),
     }
-    results = [result]
-    if args.prefix:
-        sigma = perm_from_text(args.prefix)
-        patterns = t.patterns_with_prefix(sigma)
-        ok = reduction.verify_reduction_equivalence(p, rb, sigma, patterns)
-        result["prefix"] = args.prefix
-        result["equivalent"] = ok
     lines = [
         f"shape: {result['shape']}",
         f"induced: {result['induced']}",
         f"kept columns: {','.join(str(c) for c in rb.kept_columns) or '-'}",
         f"kept rows: {','.join(str(r) for r in rb.kept_rows) or '-'}",
     ]
-    if args.prefix:
-        lines.append(f"equivalent for prefix {args.prefix}: {result['equivalent']}")
-    return params, results, lines, None
+    if args.prefix is not None:
+        sigma = perm_from_text(args.prefix)
+        patterns = t.patterns_with_prefix(sigma)
+        ok = reduction.verify_reduction_equivalence(p, rb, sigma, patterns)
+        result["prefix"] = args.prefix
+        result["equivalent"] = ok
+        lines.append(f"equivalent for prefix {args.prefix}: {ok}")
+    return params, [result], lines, None
 
 
 def cmd_slide(args):
@@ -212,17 +185,15 @@ def cmd_slide(args):
         case = slide.classify_slide_case(ctx)
         out, moves = slide.slide_transform_with_trace(p, args.i, args.j)
     result = {"placement": boards.placement_to_text(out)}
+    lines = [result["placement"]]
     if case is not None:
         result["case"] = case
+        lines.append(f"case: {case}")
     if args.trace:
         result["moves"] = [
             {"from": list(src), "to": list(dst), "label": label}
             for src, dst, label in sorted(moves)
         ]
-    lines = [result["placement"]]
-    if case is not None:
-        lines.append(f"case: {case}")
-    if args.trace:
         for src, dst, label in sorted(moves):
             lines.append(f"{label}: {src[0]},{src[1]} -> {dst[0]},{dst[1]}")
     return params, [result], lines, None
@@ -266,7 +237,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
-    names = args.check.split(",") if args.check else None
+    names = args.check.split(",") if args.check is not None else None
     records = checks.run_checks(
         names, max_side=args.max_side, n_max=args.n_max, k_max=args.k_max
     )
@@ -329,6 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
     tabular.add_argument("--cache", help=f"memo store path (or ${CACHE_ENV})")
     pooled = argparse.ArgumentParser(add_help=False, parents=[tabular])
+    placed = argparse.ArgumentParser(add_help=False, parents=[plain])
+    source = placed.add_mutually_exclusive_group(required=True)
+    source.add_argument("--perm", help="involution whose graph is the placement")
+    source.add_argument("--placement", help="textual placement: shape;x,y x,y")
     pooled.add_argument(
         "--jobs", type=_worker_count, default=1, help="worker count (>= 1)"
     )
@@ -362,20 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_rsk)
 
     s = subs.add_parser(
-        "reduce", parents=[plain], help="reduce a placement by a suffix set"
+        "reduce", parents=[placed], help="reduce a placement by a suffix set"
     )
-    s.add_argument("--perm", help="involution whose graph is the placement")
-    s.add_argument("--placement", help="textual placement: shape;x,y x,y")
     s.add_argument("--prefix-length", type=int, required=True)
     s.add_argument("--suffixes", required=True, help="orderings joined by '|': 45|54")
     s.add_argument("--prefix", help="also test prefix containment equivalence")
     s.set_defaults(handler=cmd_reduce)
 
     s = subs.add_parser(
-        "slide", parents=[plain], help="shift a descent-free column window by one"
+        "slide", parents=[placed], help="shift a descent-free column window by one"
     )
-    s.add_argument("--perm", help="involution whose graph is the placement")
-    s.add_argument("--placement", help="textual placement: shape;x,y x,y")
     s.add_argument("--i", type=int, required=True)
     s.add_argument("--j", type=int, required=True)
     s.add_argument("--inverse", action="store_true")
@@ -475,6 +446,9 @@ def run(argv) -> int:
 
 
 def main() -> int:
+    # a closed stdout (invpat ... | head) ends the run quietly, not in a traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(sys.argv[1:])
 
 

@@ -495,11 +495,17 @@ def perm_to_text(pi: Perm) -> str:
     return ",".join(str(v) for v in pi)
 
 
+def _ints(part: str, what: str, text: str, digits=False, error=InvalidInputError) -> list[int]:
+    """The integers of part, a piece of text: its digits when digits is set
+    and part has no comma, else those its commas separate.  Anything else
+    raises error naming what was read and the whole text."""
+    part = part.strip()
+    try:
+        return [int(v) for v in (part if digits and "," not in part else part.split(","))]
+    except ValueError:
+        raise error(f"{what} text {text!r} has an empty or non-integer entry") from None
+
+
 def perm_from_text(text: str) -> Perm:
     """Parse the textual form accepted everywhere in the CLI."""
-    text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        return validate_perm([int(p) for p in text.split(",")])
-    return validate_perm([int(ch) for ch in text])
+    return validate_perm(_ints(text, "permutation", text, digits=True))

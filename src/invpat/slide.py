@@ -127,11 +127,9 @@ def _checked_window(p: Placement, i: int, j: int, lo: int) -> tuple[tuple[int, i
         raise InvalidInputError("placement must be symmetric and full")
     if boards.placement_contains(p, (3, 2, 1)):
         raise InvalidInputError("placement must avoid 321")
-    window = p.dots[lo - 1 : lo - 1 + j]
-    heights = [y for _, y in window]
-    if any(heights[a] > heights[a + 1] for a in range(len(heights) - 1)):
+    if boards.placement_contains(p, (2, 1), columns=range(lo, lo + j)):
         raise InvalidInputError(f"columns {lo}..{lo + j - 1} must avoid 21")
-    return window
+    return p.dots[lo - 1 : lo - 1 + j]
 
 
 def slide_context(p: Placement, i: int, j: int) -> SlideContext:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .boards import validate_shape
 from .errors import InvalidTableauError
-from .perms import Perm, validate_perm
+from .perms import Perm, _ints, validate_perm
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -264,10 +264,5 @@ def tableau_from_text(text: str) -> Tableau:
     text = text.strip()
     if not text:
         return ()
-    try:
-        rows = [[int(v) for v in row.split(",")] for row in text.split("/")]
-    except ValueError:
-        raise InvalidTableauError(
-            f"tableau text {text!r} has an empty or non-integer entry"
-        ) from None
+    rows = [_ints(row, "tableau", text, error=InvalidTableauError) for row in text.split("/")]
     return validate_tableau(rows)

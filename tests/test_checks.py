@@ -180,6 +180,18 @@ def test_run_checks_validates_every_name_before_running(monkeypatch):
     assert ran == []
 
 
+def test_run_checks_refuses_a_repeated_name_before_running(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(checks, "ALL_CHECKS", {"extremes": lambda: ran.append(1) or []})
+    with pytest.raises(InvalidInputError, match="'extremes' is named more than once"):
+        checks.run_checks(["extremes", "extremes"])
+    # through the CLI, the sweep would otherwise run twice and count double
+    assert run(["verify", "--check", "extremes,extremes", "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "named more than once" in err
+    assert ran == []
+
+
 def test_run_checks_passes_each_sweep_only_the_limits_it_takes(monkeypatch):
     seen = []
     monkeypatch.setattr(

@@ -170,6 +170,26 @@ def test_pair_record_counts_each_pattern_on_its_own():
     assert record["equal"] is False
 
 
+@pytest.mark.parametrize(
+    "n_max, shape_side, k_max, message",
+    [
+        # 123456 vs 456123 would have no n to be counted at
+        (6, 2, 4, "n_max must exceed 6, the longest pair, got 6"),
+        (5, 2, 4, "got 5"),
+        # the board half of the scan would hold no pair at all
+        (7, 2, 1, "k_max must be >= 2, got 1"),
+        (7, -1, 2, "max_side must be >= 0"),
+    ],
+)
+def test_scan_refuses_bad_limits_before_any_count(monkeypatch, n_max, shape_side, k_max, message):
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    monkeypatch.setattr("invpat.classify.count_avoiders", no_count)
+    with pytest.raises(ValueError, match=message):
+        scan_conjectures(n_max, shape_side=shape_side, k_max=k_max)
+
+
 def test_scan_reports_but_never_raises():
     records = scan_conjectures(7, shape_side=3, k_max=3)
     kinds = {r["kind"] for r in records}

@@ -1,5 +1,9 @@
 """Exit codes, output formats, and determinism of the command line."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +114,87 @@ def test_bad_tableau_text_is_named(capsys, text):
     assert f"tableau text {text!r}" in err and "invalid literal" not in err
 
 
+# Each text form typed wrong, and the text that its error must name.
+SLIDE = ["--i", "1", "--j", "1"]
+REDUCE = ["reduce", "--perm", "12", "--prefix-length", "1"]
+MALFORMED = {
+    "perm": (["rsk", "--perm", "31a"], "31a"),
+    "patterns": (["count", "--n", "5", "--patterns", "12,3a"], "3a"),
+    "avoid": (["placements", "--shape", "2,2", "--avoid", "2x1"], "2x1"),
+    # an empty value is read, and refused, like any other
+    "avoid-empty": (["placements", "--shape", "2,2", "--avoid", ""], ""),
+    "check-empty": (["verify", "--check", ""], ""),
+    "prefix": ([*REDUCE, "--suffixes", "2", "--prefix", "1a"], "1a"),
+    "suffixes": ([*REDUCE, "--suffixes", "2|5x4"], "2|5x4"),
+    "shape": (["placements", "--shape", "3,a"], "3,a"),
+    "placement-shape": (["slide", "--placement", "3,a;1,1", *SLIDE], "3,a"),
+    "placement-dot": (["slide", "--placement", "3,3,3;1,a", *SLIDE], "3,3,3;1,a"),
+    "placement-half-dot": (["slide", "--placement", "3,3,3;1", *SLIDE], "3,3,3;1"),
+    "placement-long-dot": (["slide", "--placement", "2,2;1,1,1", *SLIDE], "2,2;1,1,1"),
+    "p": (["rsk", "--p", "1,a/2", "--q", "1,2/3"], "1,a/2"),
+    "q": (["rsk", "--p", "1,2/3", "--q", "1,3/2/"], "1,3/2/"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED))
+def test_malformed_text_is_refused_by_name(form, capsys):
+    argv, named = MALFORMED[form]
+    assert run([*argv, "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert repr(named) in err
+    assert "invalid literal" not in err and "unpack" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*REDUCE, "--placement", "2,2;1,1 2,2", "--suffixes", "2"],
+        ["slide", "--perm", "12", "--placement", "2,2;1,1 2,2", *SLIDE],
+        ["slide", *SLIDE],
+        ["rsk", "--perm", "312", "--p", "1,2/3", "--q", "1,3/2"],
+        ["rsk", "--perm", "312", "--q", "1,3/2"],
+        ["rsk", "--p", "1,2/3"],
+        ["rsk"],
+    ],
+    ids=["reduce-both", "slide-both", "slide-neither", "rsk-all", "rsk-perm-q", "rsk-p", "rsk"],
+)
+def test_conflicting_or_missing_inputs_are_refused(argv, capsys):
+    # one of --perm and --placement (or --p with --q) is read; the other
+    # is never dropped silently
+    assert run([*argv, "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and "--perm" in err
+
+
+def test_an_empty_prefix_is_checked_not_skipped(capsys):
+    assert run([*REDUCE, "--suffixes", "2", "--prefix", "", "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and "prefix must be an involution of length 1" in err
+
+
+def test_a_closed_stdout_ends_the_run_without_a_traceback():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    # the 5,040 placements print about 200 KB, more than a pipe holds, so
+    # the run is still writing when the reader goes away
+    argv = ["placements", "--shape", "7,7,7,7,7,7,7", "--all", "--no-timing"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "invpat", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"7,7,7,7,7,7,7;1,1 2,2 3,3 4,4 5,5 6,6 7,7\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert err == b""
+
+
 def test_reduce_command(capsys):
     assert run(
         [
@@ -188,7 +273,7 @@ MINIMAL = {
     "classify": ["--k", "3", "--n-max", "4"],
     "table": ["--id", "T1"],
     "verify": ["--check", "extremes", "--max-side", "2"],
-    "scan": ["--n-max", "3", "--shape-side", "2", "--k-max", "2"],
+    "scan": ["--n-max", "7", "--shape-side", "2", "--k-max", "2"],
 }
 
 # Each option, and the subcommands that read it.

@@ -61,8 +61,8 @@ def test_slide_preconditions():
         slide_transform(p, 0, 1)
     with pytest.raises(InvalidInputError):
         slide_transform(p, 1, 3)  # j beyond the board
-    with pytest.raises(InvalidInputError):
-        slide_transform(p, 1, 2)  # window 1..2 contains 21
+    with pytest.raises(InvalidInputError, match="columns 1..2 must avoid 21"):
+        slide_transform(p, 1, 2)
     with pytest.raises(InvalidInputError):
         slide_transform(graph_of((3, 2, 1)), 1, 1)  # contains 321
 
@@ -220,5 +220,5 @@ def test_slide_inverse_validates_input():
         slide_inverse(p, 1, 2)
     # and the shifted window must avoid 21
     q = make_placement((3, 3, 3), [(1, 1), (2, 3), (3, 2)])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="columns 2..3 must avoid 21"):
         slide_inverse(q, 1, 2)
