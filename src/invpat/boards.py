@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
-from operator import lt
+from itertools import accumulate, compress
+from operator import lt, not_
 from typing import Iterator
 
 from .errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
-from .perms import Perm, _ints, _matcher, _pairings
+from .perms import _LEVELS_PER_FUNCTION, Perm, _ints, _matcher, _pairings
 
 Shape = tuple[int, ...]
 Box = tuple[int, int]
@@ -134,15 +134,13 @@ def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
     >>> placement_contains(p, (1, 2)), placement_contains(p, (2, 3, 1))
     (True, False)
     """
-    return not avoiding([p], [sigma], columns)
+    return pattern_masks([p], [sigma], columns) != [0]
 
 
 def avoiding(placements, patterns, columns=None) -> list[Placement]:
-    """The placements, in order, that contain none of the patterns.
-
-    The compiled board matchers, shortest pattern first, read each
-    placement's dots in their stored column order, only those in
-    ``columns`` when it is given.
+    """The placements, in order, that contain none of the patterns: those
+    whose pattern_masks entry is 0, so one compiled matcher tests the short
+    patterns together instead of one matcher per pattern, shortest first.
 
     >>> pool = list(enumerate_full_placements((3, 3, 3)))
     >>> len(avoiding(pool, [(1, 2, 3), (3, 2, 1)]))
@@ -150,17 +148,48 @@ def avoiding(placements, patterns, columns=None) -> list[Placement]:
     >>> [placement_to_text(p) for p in avoiding(pool, [(1, 2)])]
     ['3,3,3;1,3 2,2 3,1']
     """
-    matchers = [_matcher((sigma,), board=True) for sigma in sorted(patterns, key=len)]
-    allowed = None if columns is None else set(columns)
-    found = []
-    for p in placements:
-        dots = p.dots if allowed is None else [d for d in p.dots if d[0] in allowed]
-        for match in matchers:
-            if match(dots, p.shape):
-                break
-        else:
-            found.append(p)
-    return found
+    placements = tuple(placements)
+    return list(compress(placements, map(not_, pattern_masks(placements, patterns, columns))))
+
+
+def pattern_masks(placements, patterns, columns=None) -> list[int]:
+    """For each placement, in order, the mask whose bit i is set iff
+    patterns[i] occurs in it, as placement_contains reads an occurrence.
+
+    One compiled board matcher tests every pattern of at most
+    perms._LEVELS_PER_FUNCTION entries on the dots in column order, those in
+    ``columns`` when given; a longer one has its own, run on enough dots.
+
+    >>> p = make_placement((3, 3, 2), [(1, 2), (2, 3), (3, 1)])
+    >>> pattern_masks([p], [(2, 3, 1), (1, 2), (2, 1)])
+    [6]
+    """
+    scan = _scan(tuple(map(tuple, patterns)))
+    if columns is None:
+        return [scan(p.dots, p.shape) for p in placements]
+    allowed = set(columns)
+    return [scan([d for d in p.dots if d[0] in allowed], p.shape) for p in placements]
+
+
+@cache
+def _scan(patterns: tuple[Perm, ...]):
+    # scan(dots, shape), the mask of pattern_masks for dots in column order.
+    # The shared matcher's loops find no room for a pattern longer than the
+    # dots, so only the long patterns need dropping by hand.
+    short = [i for i, sigma in enumerate(patterns) if len(sigma) <= _LEVELS_PER_FUNCTION]
+    shared = _matcher(tuple(patterns[i] for i in short), board=True)
+    if len(short) == len(patterns):
+        return shared
+
+    def scan(dots, shape) -> int:
+        found = shared(dots, shape)
+        mask = sum(1 << i for k, i in enumerate(short) if found >> k & 1)
+        for i, sigma in enumerate(patterns):
+            if _LEVELS_PER_FUNCTION < len(sigma) <= len(dots):
+                mask |= _matcher((sigma,), board=True)(dots, shape) << i
+        return mask
+
+    return scan
 
 
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:

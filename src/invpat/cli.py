@@ -18,7 +18,7 @@ import time
 from . import __version__, boards, checks, classify, reduction, slide, tableaux
 from .avoidance import CountStore, count_avoiders, pattern_set_key
 from .errors import InvalidInputError, TableMismatchError
-from .perms import _ints, perm_from_text, perm_to_text
+from .perms import _ints, perm_from_text, perm_to_text, validate_perm
 
 CACHE_ENV = "INVPAT_CACHE"
 
@@ -36,9 +36,11 @@ def parse_patterns(text: str) -> list[tuple[int, ...]]:
             raise InvalidInputError(f"empty pattern in {text!r}")
         if item.startswith("[") and item.endswith("]"):
             item = item[1:-1]
+            if "[" in item:
+                raise InvalidInputError(f"nested brackets in {text!r}: one pair holds one pattern")
         if "[" in item or "]" in item:
             raise InvalidInputError(f"unbalanced brackets in {text!r}")
-        out.append(perm_from_text(item))
+        out.append(validate_perm(_ints(item, "patterns", text, digits=True)))
     return out
 
 
@@ -54,6 +56,8 @@ def _placement_arg(args) -> boards.Placement:
 
 
 def _store(args) -> CountStore | None:
+    if args.cache == "":  # not read as unset, which would fall back on the environment
+        raise InvalidInputError("--cache '' names no file; give a path or leave out --cache")
     path = args.cache or os.environ.get(CACHE_ENV)
     store = CountStore(path) if path else None
     # classify and table count in this process whenever a store is given,

@@ -199,7 +199,7 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     head = "seq, shape" if board else "seq"
     full = (1 << len(unit)) - 1
     chained = len(set(unit)) == 1
-    if not chained and max(map(len, unit)) > _LEVELS_PER_FUNCTION:
+    if not chained and max(map(len, unit), default=0) > _LEVELS_PER_FUNCTION:
         raise ValueError(f"a pattern longer than {_LEVELS_PER_FUNCTION} needs a unit of its own")
     root = _trie(unit, board)
     functions = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import boards
 from .boards import Placement, Shape
 from .errors import InvalidInputError, InvalidPatternError, InvalidPlacementError
-from .perms import Perm, _matcher, is_involution, pattern_of
+from .perms import Perm, is_involution, pattern_of
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,12 @@ class ReducedBoard:
 
 def _marked_heights(p: Placement, t: SuffixSet) -> list[int]:
     # The heights of columns 1..n of the marked region.  Each column is no
-    # taller than the one before, so y only comes down: at most 2n matcher
-    # calls.  p is full, so p.dots[x:] are the dots right of column x.
-    matchers = [_matcher((pattern_of(tau),), board=True) for tau in t.suffixes]
+    # taller than the one before, so y only comes down: at most 2n scans of
+    # every standardized suffix.  p is full: p.dots[x:] lie right of column x.
+    scan = boards._scan(tuple(sorted(pattern_of(tau) for tau in t.suffixes)))
 
     def marked(x: int, y: int) -> bool:
-        northeast = [d for d in p.dots[x:] if d[1] > y]
-        return any(match(northeast, p.shape) for match in matchers)
+        return scan([d for d in p.dots[x:] if d[1] > y], p.shape) != 0
 
     heights = []
     y = len(p.shape)
@@ -90,6 +89,9 @@ def _marked_heights(p: Placement, t: SuffixSet) -> list[int]:
 
 def suffix_reduction(mu: Shape, p: Placement, t: SuffixSet) -> ReducedBoard:
     """Build the reduced board of (mu, p) for the suffix set t.
+
+    t is read only through its standardized suffixes, which one board scan
+    tests at once, so order-isomorphic suffix sets give equal boards.
 
     >>> from .boards import graph_of
     >>> from .perms import perm_from_text
@@ -138,9 +140,8 @@ def verify_reduction_equivalence(
     ``t.patterns_with_prefix(sigma)`` for one suffix set t; a caller trying
     several placements and prefixes builds each once.
     """
-    lhs = not boards.avoiding([p], patterns)
-    rhs = boards.placement_contains(rb.induced, tuple(sigma))
-    return lhs == rhs
+    lhs = boards.pattern_masks([p], patterns) != [0]
+    return lhs == boards.placement_contains(rb.induced, tuple(sigma))
 
 
 def class_decomposition_check(mu: Shape, t: SuffixSet, alpha: Perm, beta: Perm) -> bool:
@@ -150,8 +151,7 @@ def class_decomposition_check(mu: Shape, t: SuffixSet, alpha: Perm, beta: Perm) 
     """
     mu = boards.validate_shape(mu)
     alpha, beta = tuple(alpha), tuple(beta)
-    t_alpha = t.patterns_with_prefix(alpha)
-    t_beta = t.patterns_with_prefix(beta)
+    full = [t.patterns_with_prefix(sigma) for sigma in (alpha, beta)]
 
     groups: dict[tuple, list[tuple[Placement, ReducedBoard]]] = {}
     for p in boards.symmetric_full_placements(mu):
@@ -167,11 +167,8 @@ def class_decomposition_check(mu: Shape, t: SuffixSet, alpha: Perm, beta: Perm) 
         placements = boards.symmetric_full_placements(shape)
         if len(members) != len(placements):
             return False
-        inner_count_a = len(boards.avoiding(placements, [alpha]))
-        inner_count_b = len(boards.avoiding(placements, [beta]))
-        outer = [p for p, _ in members]
-        outer_count_a = len(boards.avoiding(outer, t_alpha))
-        outer_count_b = len(boards.avoiding(outer, t_beta))
-        if outer_count_a != inner_count_a or outer_count_b != inner_count_b:
+        inner = [len(boards.avoiding(placements, [sigma])) for sigma in (alpha, beta)]
+        outer = [len(boards.avoiding([p for p, _ in members], pats)) for pats in full]
+        if outer != inner:
             return False
     return True

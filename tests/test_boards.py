@@ -227,14 +227,58 @@ def test_avoiding_matches_a_brute_force_loop(pool, pats, data):
             st.frozensets(st.integers(1, 7)),
         )
     )
-    # placement_contains runs through avoiding, so the loop it is held to
-    # uses the brute-force search instead
+    # placement_contains runs through the same board scan, so the loop it is
+    # held to uses the brute-force search instead
     expected = [
         p for p in pool if not any(naive_placement_contains(p, s, columns) for s in pats)
     ]
     got = avoiding(pool, pats, columns=columns)
     assert got == expected
     assert all(a is b for a, b in zip(got, expected))
+
+
+@st.composite
+def placements_of_up_to_19_dots(draw):
+    # a permutation's graph less up to two dots, on a shape that holds
+    # them: row y reaches the dots of rows y and above, plus some slack
+    n = draw(st.one_of(st.integers(0, 8), st.integers(17, 19)))
+    dots = list(enumerate(draw(st.permutations(range(1, n + 1))), start=1))
+    for _ in range(min(n, draw(st.integers(0, 2)))):
+        dots.pop(draw(st.integers(0, len(dots) - 1)))
+    reach = [0] * n
+    for x, y in dots:
+        reach[y - 1] = x
+    parts, widest = [], 1
+    for need in reversed(reach):
+        widest = max(widest, need + draw(st.sampled_from((0, 1, 2, n))))
+        parts.append(widest)
+    return Placement(tuple(reversed(parts)), dots)
+
+
+@st.composite
+def mixed_patterns(draw, p):
+    # short patterns, one of 17 entries (often taken from the placement's
+    # own dots, so that it occurs), and some longer than the placement
+    heights = [y for _, y in p.dots]
+    if len(heights) >= 17 and draw(st.booleans()):
+        picks = st.lists(st.integers(0, len(heights) - 1), min_size=17, max_size=17, unique=True)
+        long = pattern_of([heights[k] for k in sorted(draw(picks))])
+    else:
+        long = tuple(draw(st.permutations(range(1, 18))))
+    over = len(p.dots) + 1
+    too_long = st.permutations(range(1, over + draw(st.integers(0, 1)) + 1)).map(tuple)
+    pats = draw(st.lists(st.one_of(patterns(4), too_long), max_size=5))
+    pats.insert(draw(st.integers(0, len(pats))), long)
+    return pats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(placements_of_up_to_19_dots().flatmap(lambda p: st.tuples(st.just(p), mixed_patterns(p))))
+def test_pattern_masks_match_a_brute_force_search(case):
+    p, pats = case
+    want = sum(1 << i for i, sigma in enumerate(pats) if naive_placement_contains(p, sigma))
+    assert boards.pattern_masks([p], pats) == [want]
+    assert avoiding([p], pats) == ([] if want else [p])
 
 
 def test_board_kernel_chains_past_the_nesting_limit():

@@ -74,6 +74,27 @@ def test_a_faulty_slide_fails_the_sweep_with_exit_1(monkeypatch, capsys, name, f
     assert record + error in capsys.readouterr().out
 
 
+def test_an_inverse_wrong_on_one_image_fails_the_slide_sweep(monkeypatch, capsys):
+    # The sweep computes each inverse once, on the slide's own output, and
+    # does not slide the inverse of each image point again; an inverse that
+    # quietly returns a wrong placement for one image point must still fail.
+    shape = (5,) * 5
+    pool = boards.avoiding(boards.symmetric_full_placements(shape), [(3, 2, 1)])
+    domain = boards.avoiding(pool, [(2, 1)], columns=range(1, 3))
+    moved = next(q for p in domain if (q := slide.slide_transform(p, 1, 2)) != p)
+    real = slide.slide_inverse
+
+    def slide_inverse(q, i, j):
+        return q if (q, i, j) == (moved, 1, 2) else real(q, i, j)
+
+    monkeypatch.setattr(slide, "slide_inverse", slide_inverse)
+    failed = [r for r in checks.check_slide_bijection(5) if not r["pass"]]
+    assert [r["params"] for r in failed] == ["shape=5,5,5,5,5 i=1 j=2"]
+    assert failed[0]["lhs"] == failed[0]["rhs"]  # the counts agree; the round trip does not
+    assert run(["verify", "--check", "slide", "--max-side", "5", "--no-timing"]) == 1
+    assert "FAIL slide-bijection shape=5,5,5,5,5 i=1 j=2: " in capsys.readouterr().out
+
+
 def test_reduced_boards_one_row_short_fail_both_sweeps(monkeypatch):
     # planted fault: every column of the marked region one box lower
     marked_heights = reduction._marked_heights

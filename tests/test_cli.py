@@ -119,7 +119,8 @@ SLIDE = ["--i", "1", "--j", "1"]
 REDUCE = ["reduce", "--perm", "12", "--prefix-length", "1"]
 MALFORMED = {
     "perm": (["rsk", "--perm", "31a"], "31a"),
-    "patterns": (["count", "--n", "5", "--patterns", "12,3a"], "3a"),
+    "patterns": (["count", "--n", "5", "--patterns", "12,3a"], "12,3a"),
+    "patterns-nested": (["count", "--n", "5", "--patterns", "[[1,2]]"], "[[1,2]]"),
     "avoid": (["placements", "--shape", "2,2", "--avoid", "2x1"], "2x1"),
     # an empty value is read, and refused, like any other
     "avoid-empty": (["placements", "--shape", "2,2", "--avoid", ""], ""),
@@ -144,6 +145,7 @@ def test_malformed_text_is_refused_by_name(form, capsys):
     assert out == ""
     assert repr(named) in err
     assert "invalid literal" not in err and "unpack" not in err
+    assert "unbalanced" not in err  # nested brackets have a message of their own
 
 
 @pytest.mark.parametrize(
@@ -412,6 +414,15 @@ def test_jobs_with_a_store_counts_in_one_process_and_says_so(
     assert err == "note: --jobs 3 is ignored with a count store; counting in one process\n"
     assert run(argv + ["--jobs", "1"]) == 0  # one worker asked for, nothing to say
     assert out_of(capsys) == (serial, "")
+
+
+def test_an_empty_cache_is_refused_not_read_as_unset(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.store"
+    monkeypatch.setenv("INVPAT_CACHE", str(path))
+    assert run(["count", "--n", "3", "--patterns", "12", "--cache", "", "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and "--cache ''" in err
+    assert not path.exists()
 
 
 def test_store_path_that_is_a_directory_is_refused(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpat import boards
+from invpat import boards, checks
 from invpat.boards import (
     enumerate_self_conjugate_shapes,
     graph_of,
@@ -184,3 +184,21 @@ def test_the_equivalence_needs_the_mirror_step(j, records):
                     if not verify_reduction_equivalence(p, rb, sigma, t.patterns_with_prefix(sigma)):
                         failed.append((mu, sorted(p.dots), sigma, sorted(t.suffixes)))
     assert (checked, failed) == (records, [])
+
+
+def test_order_isomorphic_suffix_sets_give_equal_boards():
+    # the reduction sweep builds one board per placement and standardized
+    # suffix set for j = 1, 2, 3, so suffix_reduction may read t only
+    # through its standardized suffixes
+    def suffix_sets(j):
+        pool = [(2, 3, 1), (3, 1, 2)]
+        return checks._suffix_sets(j) + [suffix_set(j, [[v + j for v in tau]]) for tau in pool]
+
+    shapes = set()
+    for mu in enumerate_self_conjugate_shapes(5):
+        for p in symmetric_full_placements(mu):
+            for group in zip(suffix_sets(1), suffix_sets(2), suffix_sets(3)):
+                first, *rest = (suffix_reduction(mu, p, t) for t in group)
+                assert all(rb == first for rb in rest), (mu, p.dots, group)
+                shapes.add(first.shape)
+    assert len(shapes) > 5  # the boards are not all empty or all the parent
