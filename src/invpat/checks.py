@@ -296,8 +296,9 @@ def check_slide_bijection(max_side: int = 6) -> list[dict]:
 
 def check_rsk_properties(n_max: int = 5) -> list[dict]:
     """Row insertion is a bijection, symmetry of the graph shows up as
-    equal tableaux, and reversal transposes, for n <= n_max; evacuation is
-    an involution on every shape in the box of side min(n_max, 4).
+    equal tableaux, and reversal transposes, for n <= n_max; evacuation
+    keeps the shape and is an involution on every shape in the box of side
+    min(n_max, 4) (an involution alone would let the transpose through).
     """
     records = []
     names = ("rsk-round-trip", "rsk-injective", "rsk-involution-symmetry", "rsk-reversal")
@@ -325,7 +326,11 @@ def check_rsk_properties(n_max: int = 5) -> list[dict]:
         params = f"shape={boards.shape_to_text(shape)}"
         with _case(records, [("evacuation-involution", params)]) as add:
             tabs = list(tableaux.standard_tableaux(shape))
-            good = sum(1 for t in tabs if tableaux.evacuation(tableaux.evacuation(t)) == t)
+            good = 0
+            for t in tabs:
+                e = tableaux.evacuation(t)
+                if tableaux.tableau_shape(e) == shape and tableaux.evacuation(e) == t:
+                    good += 1
             add(good, len(tabs))
     return records
 

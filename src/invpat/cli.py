@@ -17,7 +17,7 @@ import time
 
 from . import __version__, boards, checks, classify, reduction, slide, tableaux
 from .avoidance import CountStore, count_avoiders, pattern_set_key
-from .errors import InvalidInputError, TableMismatchError
+from .errors import InvalidInputError, InvalidWordError, TableMismatchError
 from .perms import _ints, perm_from_text, perm_to_text, validate_perm
 
 CACHE_ENV = "INVPAT_CACHE"
@@ -40,7 +40,10 @@ def parse_patterns(text: str) -> list[tuple[int, ...]]:
                 raise InvalidInputError(f"nested brackets in {text!r}: one pair holds one pattern")
         if "[" in item or "]" in item:
             raise InvalidInputError(f"unbalanced brackets in {text!r}")
-        out.append(validate_perm(_ints(item, "patterns", text, digits=True)))
+        try:
+            out.append(validate_perm(_ints(item, "patterns", text, digits=True)))
+        except InvalidWordError as e:  # integers, but no permutation
+            raise InvalidInputError(f"patterns text {text!r}: {e}") from None
     return out
 
 

@@ -147,8 +147,9 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
         # the largest entry left in q is an outer corner: last in its row
         r = row_of[step]
         x = rows[r].pop()
-        for above in range(r - 1, -1, -1):
-            row = rows[above]
+        while r:
+            r -= 1
+            row = rows[r]
             idx = bisect_right(row, x) - 1
             row[idx], x = x, row[idx]
         word[step - 1] = x
@@ -156,10 +157,15 @@ def rsk_inverse(p: Tableau, q: Tableau) -> Perm:
 
 
 def evacuation(q: Tableau) -> Tableau:
-    """The shape-preserving involution obtained by iterated removal slides.
+    """Schützenberger's evacuation, the shape-preserving involution that
+    deletes the smallest entry and slides the hole to an outer corner, the
+    corner vacated at step s receiving n+1-s; computed by row insertion.
 
-    Repeatedly delete the smallest entry and slide the hole to an outer
-    corner; the corner vacated at step s receives n+1-s in the result.
+    By Schützenberger's theorem evac(P(w)) = P(w#), where w# is the reverse
+    complement of w.  The row reading word of q (its rows from the last up,
+    each left to right) has insertion tableau q, so evac(q) inserts the
+    reverse complement of that word: the rows of q from the one holding 1
+    down, each right to left, each entry v read as n+1-v.
 
     >>> evacuation(((1, 2), (3,)))
     ((1, 3), (2,))
@@ -167,28 +173,20 @@ def evacuation(q: Tableau) -> Tableau:
     ((1, 2, 3),)
     """
     q = validate_tableau(q)
-    # the sentinel n + 1 pads each row and adds one row, so every cell of q
-    # has a right and a lower neighbour; vacated cells take it too
     end = sum(map(len, q)) + 1
-    width = len(q[0]) + 1 if q else 1
-    grid = [list(row) + [end] * (width - len(row)) for row in q]
-    grid.append([end] * width)
-    out = [[0] * len(row) for row in q]
-    for step in range(1, end):
-        r = c = 0
-        while True:
-            right, down = grid[r][c + 1], grid[r + 1][c]
-            if right < down:
-                grid[r][c] = right
-                c += 1
-            elif down < right:
-                grid[r][c] = down
-                r += 1
-            else:  # both are the sentinel: (r, c) is an outer corner
-                break
-        grid[r][c] = end
-        out[r][c] = end - step
-    return _Standard(map(tuple, out))
+    rows: list[list[int]] = []
+    for q_row in q:
+        for v in reversed(q_row):
+            x = end - v
+            for row in rows:
+                idx = bisect_right(row, x)
+                if idx == len(row):
+                    row.append(x)
+                    break
+                row[idx], x = x, row[idx]
+            else:
+                rows.append([x])
+    return _Standard(map(tuple, rows))
 
 
 def check_reversal_property(w: Perm) -> bool:

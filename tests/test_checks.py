@@ -175,6 +175,17 @@ def test_a_faulty_evacuation_fails_the_sweep_with_exit_1(monkeypatch):
     assert run(["verify", "--check", "rsk", "--n-max", "2", "--no-timing"]) == 1
 
 
+def test_a_transposing_evacuation_fails_the_sweep_with_exit_1(monkeypatch):
+    # transposing twice gives the tableau back, so only the shape test sees
+    # this fault, on every shape that is not its own conjugate
+    monkeypatch.setattr(tableaux, "evacuation", tableaux.transpose_tableau)
+    failed = [r for r in checks.check_rsk_properties(3) if not r["pass"]]
+    shapes = [s for s in checks._partitions_in_box(3) if s and not boards.is_self_conjugate(s)]
+    assert _evacuated_shapes(failed) == [f"shape={boards.shape_to_text(s)}" for s in shapes]
+    assert len(shapes) == 12  # 19 shapes in the box, 7 self-conjugate
+    assert run(["verify", "--check", "rsk", "--n-max", "3", "--no-timing"]) == 1
+
+
 @pytest.mark.parametrize("n_max", [0, 2, 3])
 def test_rsk_sweep_evacuates_the_box_of_side_n_max(n_max):
     records = checks.check_rsk_properties(n_max)

@@ -121,6 +121,9 @@ MALFORMED = {
     "perm": (["rsk", "--perm", "31a"], "31a"),
     "patterns": (["count", "--n", "5", "--patterns", "12,3a"], "12,3a"),
     "patterns-nested": (["count", "--n", "5", "--patterns", "[[1,2]]"], "[[1,2]]"),
+    # integers, but one item is no permutation
+    "patterns-not-perm": (["count", "--n", "5", "--patterns", "12,13"], "12,13"),
+    "patterns-repeat": (["count", "--n", "5", "--patterns", "[1,2],[2,2]"], "[1,2],[2,2]"),
     "avoid": (["placements", "--shape", "2,2", "--avoid", "2x1"], "2x1"),
     # an empty value is read, and refused, like any other
     "avoid-empty": (["placements", "--shape", "2,2", "--avoid", ""], ""),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from invpat import tableaux
 from invpat.errors import InvalidShapeError, InvalidTableauError, InvalidWordError
-from invpat.perms import is_involution
+from invpat.perms import is_involution, reversed_complement
 from invpat.tableaux import (
     check_reversal_property,
     evacuation,
@@ -310,10 +310,21 @@ def test_rsk_inverse_matches_the_reference_on_random_words(w):
     assert rsk_inverse(p, q) == reference_rsk_inverse(p, q) == w
 
 
-@pytest.mark.parametrize("shape", SMALL_SHAPES + [(4, 4, 4, 4)], ids=str)
+@pytest.mark.parametrize(
+    "shape", [s for n in range(1, 11) for s in partitions(n)] + [(4, 4, 4, 4)], ids=str
+)
 def test_evacuation_matches_the_reference_slide(shape):
     for t in standard_tableaux(shape):
         assert evacuation(t) == reference_evacuation(t)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_evacuation_is_the_reverse_complement_under_rsk(n):
+    # evacuation inserts the reverse complement of P's reading word; that
+    # the recording tableau is evacuated too is not used there
+    for w in permutations(range(1, n + 1)):
+        p, q = rsk(w)
+        assert rsk(reversed_complement(w)) == (evacuation(p), evacuation(q))
 
 
 def reference_standard_tableaux(shape):
