@@ -16,7 +16,7 @@ from operator import lt, not_
 from typing import Iterator
 
 from .errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
-from .perms import _LEVELS_PER_FUNCTION, Perm, _ints, _matcher, _pairings
+from .perms import Perm, _ints, _matcher, _pairings
 
 Shape = tuple[int, ...]
 Box = tuple[int, int]
@@ -139,8 +139,8 @@ def placement_contains(p: Placement, sigma: Perm, columns=None) -> bool:
 
 def avoiding(placements, patterns, columns=None) -> list[Placement]:
     """The placements, in order, that contain none of the patterns: those
-    whose pattern_masks entry is 0, so one compiled matcher tests the short
-    patterns together instead of one matcher per pattern, shortest first.
+    whose pattern_masks entry is 0, so one matcher tests the patterns
+    together instead of one matcher per pattern, shortest first.
 
     >>> pool = list(enumerate_full_placements((3, 3, 3)))
     >>> len(avoiding(pool, [(1, 2, 3), (3, 2, 1)]))
@@ -156,40 +156,20 @@ def pattern_masks(placements, patterns, columns=None) -> list[int]:
     """For each placement, in order, the mask whose bit i is set iff
     patterns[i] occurs in it, as placement_contains reads an occurrence.
 
-    One compiled board matcher tests every pattern of at most
-    perms._LEVELS_PER_FUNCTION entries on the dots in column order, those in
-    ``columns`` when given; a longer one has its own, run on enough dots.
+    One call of the board matcher perms._matcher tests the patterns
+    together on the dots in column order, those in ``columns`` when given;
+    _matcher itself gives a pattern too long to nest with the rest a
+    matcher of its own.
 
     >>> p = make_placement((3, 3, 2), [(1, 2), (2, 3), (3, 1)])
     >>> pattern_masks([p], [(2, 3, 1), (1, 2), (2, 1)])
     [6]
     """
-    scan = _scan(tuple(map(tuple, patterns)))
+    match = _matcher(tuple(map(tuple, patterns)), True)
     if columns is None:
-        return [scan(p.dots, p.shape) for p in placements]
+        return [match(p.dots, p.shape) for p in placements]
     allowed = set(columns)
-    return [scan([d for d in p.dots if d[0] in allowed], p.shape) for p in placements]
-
-
-@cache
-def _scan(patterns: tuple[Perm, ...]):
-    # scan(dots, shape), the mask of pattern_masks for dots in column order.
-    # The shared matcher's loops find no room for a pattern longer than the
-    # dots, so only the long patterns need dropping by hand.
-    short = [i for i, sigma in enumerate(patterns) if len(sigma) <= _LEVELS_PER_FUNCTION]
-    shared = _matcher(tuple(patterns[i] for i in short), board=True)
-    if len(short) == len(patterns):
-        return shared
-
-    def scan(dots, shape) -> int:
-        found = shared(dots, shape)
-        mask = sum(1 << i for k, i in enumerate(short) if found >> k & 1)
-        for i, sigma in enumerate(patterns):
-            if _LEVELS_PER_FUNCTION < len(sigma) <= len(dots):
-                mask |= _matcher((sigma,), board=True)(dots, shape) << i
-        return mask
-
-    return scan
+    return [match([d for d in p.dots if d[0] in allowed], p.shape) for p in placements]
 
 
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:

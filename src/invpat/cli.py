@@ -116,9 +116,9 @@ def cmd_placements(args):
 
 
 def cmd_rsk(args):
-    if bool(args.p) != bool(args.q) or bool(args.perm) == bool(args.p):
+    if (args.p is None) != (args.q is None) or (args.perm is None) == (args.p is None):
         raise InvalidInputError("provide --perm, or --p with --q, but not both")
-    if args.p:
+    if args.p is not None:
         p = tableaux.tableau_from_text(args.p)
         q = tableaux.tableau_from_text(args.q)
         word = tableaux.rsk_inverse(p, q)

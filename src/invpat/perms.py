@@ -115,7 +115,8 @@ def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None, int], ...
 
 # CPython refuses more than 20 statically nested blocks, so the matcher for
 # a pattern longer than this is a chain of functions, each nesting this many
-# loops.  Only a unit of one pattern may be that long.
+# loops.  Only a unit of one pattern may be that long: _matcher gives each
+# longer pattern of a unit a matcher of its own.
 _LEVELS_PER_FUNCTION = 16
 
 
@@ -199,8 +200,6 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     head = "seq, shape" if board else "seq"
     full = (1 << len(unit)) - 1
     chained = len(set(unit)) == 1
-    if not chained and max(map(len, unit), default=0) > _LEVELS_PER_FUNCTION:
-        raise ValueError(f"a pattern longer than {_LEVELS_PER_FUNCTION} needs a unit of its own")
     root = _trie(unit, board)
     functions = []
     seen: list[str] = []  # the per-call position sets, one per node using one
@@ -332,8 +331,26 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
     monotone pattern, 12...k or k...1 with k >= 2, is a patience-sorting
     pass over seq (_patience) that keeps its k - 1 tails in local
     variables; every other unit, and every board form, is compiled into
-    nested loops (_matcher_source) that read seq as a tuple.
+    nested loops (_matcher_source) that read seq as a tuple.  A pattern
+    longer than _LEVELS_PER_FUNCTION entries in a unit of other patterns is
+    tested by a matcher of its own, and its bit merged into the mask of the
+    rest.
     """
+    parts: dict = {}  # indices into unit: a long pattern's under it, the rest's under None
+    for j, sigma in enumerate(unit):
+        parts.setdefault(sigma if len(sigma) > _LEVELS_PER_FUNCTION else None, []).append(j)
+    if len(parts) > 1:
+        split = [(_matcher(tuple(unit[j] for j in js), board), js) for js in parts.values()]
+
+        def match(*seq) -> int:
+            mask = 0
+            for part, js in split:
+                found = part(*seq)
+                for k, j in enumerate(js):
+                    mask |= (found >> k & 1) << j
+            return mask
+
+        return match
     if not board and len(unit) == 1 and len(unit[0]) > 1:
         (sigma,) = unit
         k = len(sigma)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import boards
 from .boards import Placement, Shape
 from .errors import InvalidInputError, InvalidPatternError, InvalidPlacementError
-from .perms import Perm, is_involution, pattern_of
+from .perms import Perm, _matcher, is_involution, pattern_of
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _marked_heights(p: Placement, t: SuffixSet) -> list[int]:
     # The heights of columns 1..n of the marked region.  Each column is no
     # taller than the one before, so y only comes down: at most 2n scans of
     # every standardized suffix.  p is full: p.dots[x:] lie right of column x.
-    scan = boards._scan(tuple(sorted(pattern_of(tau) for tau in t.suffixes)))
+    scan = _matcher(tuple(sorted(pattern_of(tau) for tau in t.suffixes)), True)
 
     def marked(x: int, y: int) -> bool:
         return scan([d for d in p.dots[x:] if d[1] > y], p.shape) != 0

@@ -106,6 +106,19 @@ def test_rsk_round_trip_via_cli(capsys):
     assert out == "312\n"
 
 
+def test_empty_rsk_inputs_are_read_not_taken_as_absent(capsys):
+    assert run(["rsk", "--perm", "", "--no-timing"]) == 0
+    out, _ = out_of(capsys)
+    assert out == "insertion: \nrecording: \nevacuation: \n"
+    assert run(["rsk", "--p", "", "--q", "", "--no-timing"]) == 0
+    out, _ = out_of(capsys)
+    assert out == "\n"  # the empty word
+    # both tableaux are given, so their shapes are compared
+    assert run(["rsk", "--p", "1", "--q", "", "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and "tableaux have different shapes" in err
+
+
 @pytest.mark.parametrize("text", ["1,2/", "1,,2/3", "1,x/2"])
 def test_bad_tableau_text_is_named(capsys, text):
     assert run(["rsk", "--p", text, "--q", "1,3/2", "--no-timing"]) == 2
@@ -158,11 +171,21 @@ def test_malformed_text_is_refused_by_name(form, capsys):
         ["slide", "--perm", "12", "--placement", "2,2;1,1 2,2", *SLIDE],
         ["slide", *SLIDE],
         ["rsk", "--perm", "312", "--p", "1,2/3", "--q", "1,3/2"],
+        ["rsk", "--perm", "312", "--p", "", "--q", ""],
         ["rsk", "--perm", "312", "--q", "1,3/2"],
         ["rsk", "--p", "1,2/3"],
         ["rsk"],
     ],
-    ids=["reduce-both", "slide-both", "slide-neither", "rsk-all", "rsk-perm-q", "rsk-p", "rsk"],
+    ids=[
+        "reduce-both",
+        "slide-both",
+        "slide-neither",
+        "rsk-all",
+        "rsk-all-empty",
+        "rsk-perm-q",
+        "rsk-p",
+        "rsk",
+    ],
 )
 def test_conflicting_or_missing_inputs_are_refused(argv, capsys):
     # one of --perm and --placement (or --p with --q) is read; the other

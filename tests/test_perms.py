@@ -164,8 +164,26 @@ def test_only_a_one_pattern_unit_may_pass_the_nesting_limit():
     long = (2, 1, *range(3, 18))  # not monotone, so compiled
     assert perms._matcher((long,))((2, 1, *range(3, 19))) == 1
     assert perms._matcher((long,))(tuple(range(1, 19))) == 0
-    with pytest.raises(ValueError, match="unit of its own"):
-        perms._matcher((long, (2, 1)))
+    # a unit mixing 18-entry patterns with short ones compiles the short
+    # ones together and each long one alone, and merges their bits
+    long = (2, 1, *range(3, 19))
+    unit = ((2, 1), long, (1, 3, 2), long[::-1], (1, 2), long)
+    words = [
+        (),
+        (3, 1, 2),
+        long[:-1],  # fewer entries than the long patterns
+        long,
+        long[::-1],
+        tuple(range(1, 19)),
+        (2, 1, *range(3, 20)),
+        (20, *long[::-1], 19),
+        (1, 19, *range(3, 18), 2, 18),
+    ]
+    for word in words:
+        want = sum(naive_contains(word, sigma) << j for j, sigma in enumerate(unit))
+        assert perms._matcher(unit)(word) == want, word
+        dots = [(x + 1, v) for x, v in enumerate(pattern_of(word))]
+        assert perms._matcher(unit, True)(dots, (len(word),) * len(word)) == want, word
 
 
 # every pattern of length <= 5 as a unit of its own, and the patterns of

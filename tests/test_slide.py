@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpat import boards, slide
-from invpat.boards import graph_of, make_placement, symmetric_full_placements
+from invpat.boards import graph_of, make_placement, placement_from_text, symmetric_full_placements
 from invpat.errors import InvalidInputError, InvalidPlacementError, InvalidShapeError
 from invpat.slide import (
     classify_slide_case,
@@ -25,6 +25,9 @@ def test_inner_shape_examples():
     assert inner_shape((2, 1)) == ()
     assert inner_shape((1,)) == ()
     assert inner_shape((4, 4, 4, 3)) == (2, 2)
+    # a part trimmed to nothing is dropped, a part trimmed to 1 kept
+    assert inner_shape((3, 1, 1)) == ()
+    assert inner_shape((4, 2, 1, 1)) == (1,)
 
 
 def test_inner_shape_rejects_squares_and_empty():
@@ -71,6 +74,13 @@ def test_slide_identity_case():
     p = graph_of((1, 2, 3))
     out, moves = slide_transform_with_trace(p, 1, 2)
     assert out == p and moves == []
+
+
+def test_w_equal_to_i_is_case_iv_not_vi():
+    # w = i = j = 1 and no diagonal dot in the window: the lower end of IV
+    ctx = slide_context(placement_from_text("2,2;1,2 2,1"), 1, 1)
+    assert (ctx.w, ctx.on_diag) == (1, ())
+    assert classify_slide_case(ctx) == "IV"
 
 
 def test_slide_merge_split_case():
