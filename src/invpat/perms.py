@@ -7,6 +7,7 @@ has the same relative order.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -434,19 +435,28 @@ def _pairings(reach: Sequence[int], make: Callable = tuple) -> Iterator:
             return
 
 
+def _check_size(n) -> None:
+    # n counts the entries of an involution: an int (bool excluded), >= 0
+    if type(n) is not int or n < 0:
+        raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
+
+
 def involutions(n: int) -> Iterator[Perm]:
     """Yield every involution of [n], built by pairing the least free index.
+    An n that is not an int >= 0 raises InvalidInputError.
 
     >>> sorted(involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
+    _check_size(n)
     return _pairings((n,) * n)
 
 
 # _rc_orbits(n) holds one member of each reversed-complement orbit of the
 # involutions of [n] as a row, bytes whose entries fit up to the limit: 46 B
 # at 13 where a tuple takes 160.  The 284,944 rows it keeps at 13 take
-# 15 MiB; the 2,390,480 involutions of 14 would need about four times as
+# 15 MiB, and the stores two, four, ... sizes down it is built from another
+# 1 MiB; the 2,390,480 involutions of 14 would need about four times as
 # much.  No store keeps the other members: they are made as they are read.
 _INVOLUTION_LIST_MAX_N = 13
 
@@ -457,35 +467,79 @@ def _rc_image(n: int) -> Callable[[bytes], bytes]:
     return lambda row: row.translate(table)[::-1]
 
 
+def _spliced(rows: Sequence[bytes], n: int, i: int, at: int, x: int, y: int) -> list[bytes]:
+    # Rows of [n] from rows of [n - 2]: each relabelled v -> v + (v >= i),
+    # with x put in at index at and y appended.  The rows are laid side by
+    # side in one buffer of n-byte rows, a column at a time by extended
+    # slices, and relabelled by one byte translation, so only the final cut
+    # into rows is a Python loop.
+    m, count = n - 2, len(rows)
+    source = b"".join(rows).translate(bytes(range(i)) + bytes(range(i + 1, 256)) + b"\0")
+    flat = bytearray(count * n)
+    for j in range(m):
+        flat[j + (j >= at) :: n] = source[j::m]
+    flat[at::n] = bytes([x]) * count
+    flat[n - 1 :: n] = bytes([y]) * count
+    flat = bytes(flat)
+    return [flat[r : r + n] for r in range(0, len(flat), n)]
+
+
 @cache
 def _rc_orbits(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """The involutions of [n] by reversed-complement orbit, as rows (pairs,
-    fixed): the smaller member of each orbit of two and every involution
-    that reversed_complement fixes: the one involution store, the images of
-    the pairs being made as they are read.  Each is met once in the pairing
-    walk, and the larger members are dropped as they come.  n above 13
-    raises InvalidInputError before anything is enumerated.
+    fixed), each part in increasing order: the smaller member of each orbit
+    of two and every involution that reversed_complement fixes: the one
+    involution store, the images of the pairs being made as they are read.
+    An n that is not an int >= 0 raises InvalidInputError, and so does n
+    above 13, before anything is built.
+
+    The store is built from _rc_orbits(n - 2), by the partner i of n.
+    Taking n and i out of an involution of [n] and closing up the gap
+    leaves one of [n - 2], s; the rows with pi(n) = i are the rows s
+    relabelled v -> v + (v >= i), with n put in at index i - 1 and i
+    appended.  Which are kept follows from s, block by block:
+    - pi(n) = n: with 1 fixed, the frame 1 ... n around s shifted up by
+      one, whose image is the same frame around rc(s), so it is kept as s
+      is; with 1 not fixed the image starts with 1 and is the smaller.
+    - i = 1: the frame n ... 1, kept as s is in the same way.
+    - 2 <= i <= n - 1: with a = pi(1), the row is the smaller member when
+      a + i <= n, is compared with its image when a + i = n + 1 (the image
+      starts with a too) and is the larger when a + i > n + 1.  a grows
+      with s[0], so over every row of [n - 2] in order the first kind is
+      a prefix and the second the block after it.
 
     >>> [[tuple(row) for row in part] for part in _rc_orbits(3)]
     [[(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]]
     """
+    _check_size(n)
     if n > _INVOLUTION_LIST_MAX_N:
         raise InvalidInputError(
             f"n = {n} is above the involution list limit of {_INVOLUTION_LIST_MAX_N}"
         )
+    if n < 2:
+        return (), (bytes(range(1, n + 1)),)
+    below = _rc_orbits(n - 2)
+    pairs, fixed = (
+        [*_spliced(part, n, 1, 0, 1, n), *_spliced(part, n, 1, 0, n, 1)] for part in below
+    )
+    rows = sorted((*below[0], *below[1], *map(_rc_image(n - 2), below[0])))
     image_of = _rc_image(n)
-    pairs, fixed = [], []
-    for row in _pairings((n,) * n, bytes):
-        # the image starts with n + 1 - row[-1], which mostly settles the order
-        ends = row[0] + row[-1] if row else n + 1
-        if ends <= n:
-            pairs.append(row)
-        elif ends == n + 1:
-            image = image_of(row)
-            if row < image:
-                pairs.append(row)
-            elif row == image:
-                fixed.append(row)
+    for i in range(2, n):
+        # a = s[0] + (s[0] >= i), so a + i <= n exactly when s[0] <= top,
+        # and a + i = n + 1 when s[0] = top + 1 unless that is i itself
+        top = n - i - (2 * i <= n)
+        kept = bisect_left(rows, bytes([top + 1]))
+        pairs += _spliced(rows[:kept], n, i, i - 1, n, i)
+        if 2 * i != n + 1:
+            block = rows[kept : bisect_left(rows, bytes([top + 2]), kept)]
+            for row in _spliced(block, n, i, i - 1, n, i):
+                image = image_of(row)
+                if row < image:
+                    pairs.append(row)
+                elif row == image:
+                    fixed.append(row)
+    pairs.sort()
+    fixed.sort()
     return tuple(pairs), tuple(fixed)
 
 
@@ -493,8 +547,10 @@ def involution_list(n: int) -> tuple[Perm, ...]:
     """All involutions of [n] as tuples (35,696 of them at n = 11): the
     pairs of _rc_orbits(n), its fixed involutions, then the images of the
     pairs.  The tuples and the images are made from the orbits on each
-    call, so nothing but the orbits is held between calls.  n above 13
-    raises InvalidInputError before anything is enumerated."""
+    call, so nothing but the orbits is held between calls.  An n that is
+    not an int >= 0, an unhashable one included, or n above 13 raises
+    InvalidInputError before anything is built."""
+    _check_size(n)  # before the cache of _rc_orbits hashes n
     pairs, fixed = _rc_orbits(n)
     return (*map(tuple, pairs), *map(tuple, fixed), *map(tuple, map(_rc_image(n), pairs)))
 

@@ -423,16 +423,63 @@ def test_the_pairing_walk_matches_the_recursion_on_every_shape_of_side_8():
     assert list(perms._pairings((256,) + (1,) * 255)) == []
 
 
-def test_involution_list_refuses_n_past_its_limit(monkeypatch):
-    def enumerate_nothing(*args):
-        raise AssertionError("enumerated before the limit check")
-
-    monkeypatch.setattr(perms, "_pairings", enumerate_nothing)
-    for n in (14, 16):
+def test_involution_list_refuses_n_past_its_limit():
+    # the limit is checked before the store two sizes down is built
+    perms._rc_orbits.cache_clear()
+    for n in (14, 15):
         with pytest.raises(InvalidInputError, match="limit of 13"):
             involution_list(n)
         with pytest.raises(InvalidInputError, match="limit of 13"):
             perms._rc_orbits(n)
+    assert perms._rc_orbits.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None, -1])
+def test_a_bad_n_is_refused_before_anything_is_built(n, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before n was checked")
+
+    monkeypatch.setattr(perms, "_pairings", enumerate_nothing)
+    perms._rc_orbits.cache_clear()
+    for build in (involutions, involution_list, perms._rc_orbits):
+        with pytest.raises(InvalidInputError, match="n must be an integer >= 0"):
+            build(n)
+    assert perms._rc_orbits.cache_info().currsize == 0
+
+
+def test_an_unhashable_n_is_refused_by_name():
+    for build in (involutions, involution_list):
+        with pytest.raises(InvalidInputError, match="n must be an integer >= 0"):
+            build([3])
+
+
+def reference_rc_orbits(n):
+    # the store as the pairing walk over every involution of [n] builds it,
+    # keeping the smaller member of each orbit of two and the fixed rows
+    image_of = perms._rc_image(n)
+    pairs, fixed = [], []
+    for row in perms._pairings((n,) * n, bytes):
+        image = image_of(row)
+        if row < image:
+            pairs.append(row)
+        elif row == image:
+            fixed.append(row)
+    return tuple(pairs), tuple(fixed)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_rc_orbits_match_the_walk_over_every_involution(n):
+    assert perms._rc_orbits(n) == reference_rc_orbits(n)
+
+
+def test_rc_orbits_are_built_without_the_pairing_walk(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("the store walked every involution")
+
+    monkeypatch.setattr(perms, "_pairings", enumerate_nothing)
+    perms._rc_orbits.cache_clear()
+    pairs, fixed = perms._rc_orbits(12)
+    assert (len(pairs), len(fixed)) == (69384, 1384)
 
 
 @pytest.mark.parametrize("n", range(12))
