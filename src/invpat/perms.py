@@ -198,7 +198,12 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # - if the loops below read no value chosen above depth d, what they
     #   find depends on i<d> alone, and seen<d> (one per call) skips a
     #   position searched under another parent.
+    # m<d> starts at its linked bound, or past every value when there is
+    # none.  A board's rows lie in 1..len(shape), so there it starts at an
+    # int, which compares with the int rows faster than a float infinity
+    # does; the word form's seq may hold any integers.
     head = "seq, shape" if board else "seq"
+    ceiling, floor = ("len(shape) + 1", "0") if board else ("inf", "-inf")
     full = (1 << len(unit)) - 1
     chained = len(set(unit)) == 1
     root = _trie(unit, board)
@@ -237,10 +242,10 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         high = None if hi is None else f"v{hi}"
         lines = []
         if reads.get(d) == {"<"}:
-            lines.append(f"{pad}m{d} = {high or 'inf'}")
+            lines.append(f"{pad}m{d} = {high or ceiling}")
             high = f"m{d}"
         elif reads.get(d) == {">"}:
-            lines.append(f"{pad}m{d} = {low or '-inf'}")
+            lines.append(f"{pad}m{d} = {low or floor}")
             low = f"m{d}"
         start = f"i{d - 1} + 1" if d else "0"
         stop = f"n - {node.rest}" if node.rest else "n"

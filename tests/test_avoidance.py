@@ -1,7 +1,8 @@
 """Counting avoiders: brute force, closed forms, and the memo store."""
 import tracemalloc
+from functools import cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial, inf
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,25 @@ def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
         assert count_avoiders(n, [tuple(range(k, 0, -1))]) == want
 
 
+@cache
+def _involutions(n):
+    # the pairing walk, which never reads the orbits, once per session
+    return tuple(involutions(n))
+
+
+@cache
+def _contains_each(n, sigma):
+    # the brute-force oracle, once per session for each (n, sigma): whether
+    # each involution of [n] contains sigma
+    return tuple(contains(pi, sigma) for pi in _involutions(n))
+
+
+def _oracle(n, cell):
+    # how many involutions of [n] avoid every pattern of the cell
+    hits = [_contains_each(n, sigma) for sigma in cell]
+    return sum(not any(found) for found in zip(*hits))
+
+
 # S_5 stops at n = 8: its 176 sets at n <= 10 take about 18 s
 @pytest.mark.parametrize("k, n_max", [(3, 10), (4, 10), (5, 8)])
 def test_orbit_counts_match_the_full_scan(k, n_max, monkeypatch):
@@ -118,13 +138,8 @@ def test_orbit_counts_match_the_full_scan(k, n_max, monkeypatch):
     sets = [{sigma} for sigma in s_k] + [p for p in closed | other if len(p) == 2]
     assert any(set(map(reversed_complement, p)) != p for p in other)
     for n in range(n_max + 1):
-        # the oracle scans every involution of the pairing walk, which never
-        # reads the orbits, once per pattern
-        every = list(involutions(n))
-        hits = {sigma: [contains(pi, sigma) for pi in every] for sigma in s_k}
         for patterns in sets:
-            want = sum(not any(found) for found in zip(*(hits[s] for s in patterns)))
-            assert count_avoiders(n, patterns) == want, (n, patterns)
+            assert count_avoiders(n, patterns) == _oracle(n, patterns), (n, patterns)
 
 
 def _mixed_cells(k):
@@ -142,19 +157,79 @@ def _mixed_cells(k):
     return cells + cells[:1] + cells[-1:]
 
 
+# the census ratio that forces every length onto the census, every length
+# onto the matchers, and the default, which takes the census for the
+# batches of _mixed_cells at n <= 9 and the matchers for 1324 alone at 9
+_PATHS = {"census": inf, "matchers": 0, "default": avoidance._CENSUS_RATIO}
+
+
 @pytest.mark.parametrize("k", [4, 5])
-def test_batch_counts_match_count_avoiders(k):
-    cells = _mixed_cells(k)
-    for n in range(k, 10):
-        # the oracle scans every involution of the pairing walk, which never
-        # reads the orbits
-        every = list(involutions(n))
-        want = [sum(not any(contains(pi, s) for s in cell) for pi in every) for cell in cells]
-        assert _avoider_counts(n, cells) == want
-        # interleaved shares of the orbits sum to the whole
-        for step in (2, 3):
-            shares = [_avoider_counts(n, cells, w, step) for w in range(step)]
-            assert [sum(s) for s in zip(*shares)] == want, (n, step)
+def test_batch_counts_match_count_avoiders(k, monkeypatch):
+    mixed = _mixed_cells(k)
+    # a set of several patterns is filtered alike on every path, so the
+    # forced paths keep one, after the one-pattern cells
+    forced = [cell for cell in mixed if len(cell) == 1] + mixed[-1:]
+    for path, ratio in _PATHS.items():
+        monkeypatch.setattr(avoidance, "_CENSUS_RATIO", ratio)
+        cells = mixed if path == "default" else forced
+        for n in range(k, 10):
+            want = [_oracle(n, cell) for cell in cells]
+            assert _avoider_counts(n, cells) == want, (path, n)
+            # interleaved shares of the orbits sum to the whole
+            for step in (2, 3):
+                shares = [_avoider_counts(n, cells, w, step) for w in range(step)]
+                assert [sum(s) for s in zip(*shares)] == want, (path, n, step)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_both_paths_count_the_edges(path, monkeypatch):
+    monkeypatch.setattr(avoidance, "_CENSUS_RATIO", _PATHS[path])
+    # n = k: one value subset, whose census is the row itself
+    for k in (1, 2, 3, 4, 5):
+        cells = [frozenset([sigma]) for sigma in permutations(range(1, k + 1))]
+        assert _avoider_counts(k, cells) == [_oracle(k, cell) for cell in cells], k
+    # the two involutions of [2] are fixed rows and there are no pairs, so
+    # the third share of three is empty and counts nothing
+    cells = [frozenset([(1, 2)]), frozenset([(2, 1)]), frozenset([(1, 2), (2, 1)])]
+    shares = [_avoider_counts(2, cells, w, 3) for w in range(3)]
+    assert shares == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    # one call that counts 21 classes of S_6 (84 subsets of 6 values of
+    # [9] against 21 patterns or more: the census by default), 1324 (126
+    # subsets against one pattern: the matchers) and a set of two patterns
+    cells = [frozenset(cls[:1]) for cls in symmetry_classes(6)[::11]]
+    assert len(cells) == 21
+    cells += [frozenset([(1, 3, 2, 4)]), frozenset([(1, 2, 3), (4, 3, 2, 1)])]
+    assert _avoider_counts(9, cells) == [_oracle(9, cell) for cell in cells]
+
+
+def test_the_census_takes_many_patterns_and_the_matchers_few(monkeypatch):
+    censused, matched = [], []
+    census, matcher = avoidance._census, avoidance._matcher
+
+    def record_census(rows, n, lengths):
+        censused.append((n, sorted(lengths)))
+        return census(rows, n, lengths)
+
+    def record_matcher(unit, board=False):
+        matched.append(unit)
+        return matcher(unit, board)
+
+    monkeypatch.setattr(avoidance, "_census", record_census)
+    monkeypatch.setattr(avoidance, "_matcher", record_matcher)
+    # 1324 at n = 11: C(11, 4) = 330 subsets against one pattern, its own
+    # reversed complement and inverse
+    assert _avoider_counts(11, [frozenset([(1, 3, 2, 4)])]) == [5654]
+    assert censused == [] and matched == [((1, 3, 2, 4),)] * 2
+    # 230 classes of S_6 at n = 9: C(9, 6) = 84 subsets against 398
+    # patterns in the pairs and 230 in the fixed rows
+    matched.clear()
+    reps = [frozenset(cls[:1]) for cls in symmetry_classes(6)]
+    assert comb(9, 6) <= avoidance._CENSUS_RATIO * 230
+    counts = _avoider_counts(9, reps)
+    assert censused == [(9, [6]), (9, [6])] and matched == []
+    # the matchers, forced, agree on every class
+    monkeypatch.setattr(avoidance, "_CENSUS_RATIO", 0)
+    assert _avoider_counts(9, reps) == counts
 
 
 def test_a_count_holds_no_involutions_past_the_orbits(monkeypatch):
@@ -215,8 +290,7 @@ def test_a_set_read_as_its_inverse_counts_as_itself(patterns, monkeypatch):
     cell = pattern_set(patterns)
     assert avoidance._up_to_inverse(cell) == frozenset(map(inverse, cell)) != cell
     for n in range(11):
-        want = sum(not any(contains(pi, s) for s in cell) for pi in involutions(n))
-        assert count_avoiders(n, cell) == want, (n, patterns)
+        assert count_avoiders(n, cell) == _oracle(n, cell), (n, patterns)
 
 
 def _box_hook_sum(n, k, l):
@@ -274,8 +348,7 @@ def test_a_count_makes_no_image_of_a_row(patterns, monkeypatch):
 
     for module in (perms, avoidance):
         monkeypatch.setattr(module, "_rc_image", refuse, raising=False)
-    want = sum(not any(contains(pi, s) for s in cell) for pi in involutions(9))
-    assert count_avoiders(9, patterns) == want
+    assert count_avoiders(9, patterns) == _oracle(9, cell)
 
 
 def test_batch_counts_do_not_depend_on_the_chunk(monkeypatch):

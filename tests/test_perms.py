@@ -1,4 +1,5 @@
 """Permutations, patterns, and containment against a naive oracle."""
+import re
 import tracemalloc
 from functools import cache
 from itertools import combinations, permutations
@@ -241,6 +242,20 @@ def test_compiled_units_match_naive_contains_on_every_small_involution(board):
         assert list(map(match, *args)) == want, unit
         if not board:  # the counts pass the word form rows of bytes
             assert list(map(match, map(bytes, pis))) == want, unit
+
+
+def test_a_board_matcher_starts_its_running_bounds_at_ints():
+    # a board's rows lie in 1..len(shape), so a running minimum with no
+    # linked bound starts at len(shape) + 1 and a running maximum at 0, and
+    # no row is compared with a float infinity; the word form's seq may
+    # hold any integers, so it keeps inf and -inf
+    board = [perms._matcher_source(unit, True) for unit in UNITS]
+    word = [perms._matcher_source(unit, False) for unit in UNITS]
+    assert not any("inf" in source for source in board)
+    assert any(re.search(r"m\d+ = len\(shape\) \+ 1$", s, re.M) for s in board)
+    assert any(re.search(r"m\d+ = 0$", s, re.M) for s in board)
+    assert any(re.search(r"m\d+ = inf$", s, re.M) for s in word)
+    assert any(re.search(r"m\d+ = -inf$", s, re.M) for s in word)
 
 
 def compiled(unit):
