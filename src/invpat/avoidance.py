@@ -18,6 +18,7 @@ from . import boards
 from .errors import InvalidInputError
 from .perms import (
     Perm,
+    _check_size,
     _matcher,
     _rc_orbits,
     inverse,
@@ -205,8 +206,7 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
     >>> count_avoiders(7, ["1234"])
     127
     """
-    if type(n) is not int or n < 0:
-        raise InvalidInputError(f"n must be an integer >= 0, got {n!r}")
+    _check_size(n)
     ps = pattern_set(patterns)
     if store is None and (n, ps) in _known:
         return _known[n, ps]

@@ -158,8 +158,8 @@ def pattern_masks(placements, patterns, columns=None) -> list[int]:
 
     One call of the board matcher perms._matcher tests the patterns
     together on the dots in column order, those in ``columns`` when given;
-    _matcher itself gives a pattern too long to nest with the rest a
-    matcher of its own.
+    it is one compiled unit whatever the patterns' lengths, its levels past
+    depth 16 chained in level functions that carry the mask.
 
     >>> p = make_placement((3, 3, 2), [(1, 2), (2, 3), (3, 1)])
     >>> pattern_masks([p], [(2, 3, 1), (1, 2), (2, 1)])

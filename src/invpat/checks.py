@@ -22,7 +22,7 @@ from itertools import chain, permutations
 from . import boards, classify, reduction, slide, tableaux
 from .avoidance import count_avoiders_with_column_constraint
 from .errors import InvalidInputError
-from .perms import is_involution, pattern_of, perm_to_text
+from .perms import _check_listed, is_involution, pattern_of, perm_to_text
 
 
 def _record(check: str, params: str, lhs, rhs, ok: bool | None = None) -> dict:
@@ -352,6 +352,9 @@ def check_prefix_exchange(k_max: int = 5, n_max: int = 8) -> list[dict]:
     return records
 
 
+# the sweeps that count involutions of every n up to n_max
+_LISTED = {"columns", "prefix"}
+
 ALL_CHECKS = {
     "extremes": check_extreme_placements,
     "reduction": check_reduction_equivalence,
@@ -370,8 +373,9 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
 
     Every name, and every size limit that is given, is checked before any
     sweep runs: a repeated name, a negative limit, or one that none of the
-    chosen sweeps takes, is refused.  Each given limit goes to the sweeps
-    that take it; the others keep their defaults.
+    chosen sweeps takes, is refused, and so is an n_max past the involution
+    store for a sweep that counts over it.  Each given limit goes to the
+    sweeps that take it; the others keep their defaults.
     """
     chosen = list(ALL_CHECKS) if names is None else list(names)
     for name in chosen:
@@ -391,6 +395,8 @@ def run_checks(names=None, max_side=None, n_max=None, k_max=None) -> list[dict]:
             raise InvalidInputError(
                 f"{limit} is taken by none of the chosen checks {chosen}"
             )
+    if n_max is not None and _LISTED.intersection(chosen):
+        _check_listed(n_max)
     records = []
     for name in chosen:
         records.extend(

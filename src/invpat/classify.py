@@ -19,6 +19,7 @@ from .avoidance import CountStore, _each_count, count_avoiders
 from .errors import InvalidInputError, TableMismatchError
 from .perms import (
     Perm,
+    _check_listed,
     is_involution,
     perm_from_text,
     perm_to_text,
@@ -85,6 +86,8 @@ def _count_vectors(
     # one, the counting stays in this process.
     if type(jobs) is not int or jobs < 1:
         raise InvalidInputError(f"jobs must be an integer >= 1, got {jobs!r}")
+    for n in ns:  # before any count
+        _check_listed(n)
     parallel = jobs > 1 and store is None
     cells = [frozenset([rep]) for rep in reps]
     with ProcessPoolExecutor(jobs) if parallel else nullcontext() as pool:
@@ -207,6 +210,7 @@ def scan_conjectures(n_max: int, shape_side: int = 5, k_max: int = 4) -> list[di
         raise InvalidInputError(f"n_max must exceed {longest}, the longest pair, got {n_max}")
     if k_max < 2:
         raise InvalidInputError(f"k_max must be >= 2, got {k_max}")
+    _check_listed(n_max)
     shapes = sorted(boards.enumerate_self_conjugate_shapes(shape_side))
     records = []
     for text_a, text_b in CONJECTURED_PAIRS:

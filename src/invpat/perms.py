@@ -114,10 +114,10 @@ def _pattern_links(sigma: Perm) -> tuple[tuple[int | None, int | None, int], ...
     return tuple(links)
 
 
-# CPython refuses more than 20 statically nested blocks, so the matcher for
-# a pattern longer than this is a chain of functions, each nesting this many
-# loops.  Only a unit of one pattern may be that long: _matcher gives each
-# longer pattern of a unit a matcher of its own.
+# CPython refuses more than 20 statically nested blocks, so the matcher of
+# a unit whose patterns are longer than this is a chain of functions, each
+# nesting this many loops: the loop at depth 16, 32, ... is a level function
+# that takes the mask and returns it grown by what its loops found.
 _LEVELS_PER_FUNCTION = 16
 
 
@@ -182,9 +182,10 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     # pattern passes through it; a child whose patterns are all found is
     # skipped, a node whose patterns are all found breaks, and a full mask
     # is returned at once.  For one pattern every such test is known to
-    # pass and is left out, which leaves plain nested loops returning 1 or
-    # 0.  The source holds only integer literals and fixed names, no caller
-    # text.
+    # pass and is left out, which leaves plain nested loops that return 1
+    # on a find and the mask, 0, after them.  A level function (see
+    # _LEVELS_PER_FUNCTION) is called like any other child loop.  The
+    # source holds only integer literals and fixed names, no caller text.
     #
     # Two rules skip candidates whose subtree can only find a subset of
     # what a subtree already searched has found; the mask only grows, so
@@ -205,10 +206,15 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     head = "seq, shape" if board else "seq"
     ceiling, floor = ("len(shape) + 1", "0") if board else ("inf", "-inf")
     full = (1 << len(unit)) - 1
-    chained = len(set(unit)) == 1
     root = _trie(unit, board)
     functions = []
+    names: list[str] = []  # the level functions and position sets
     seen: list[str] = []  # the per-call position sets, one per node using one
+
+    def fresh(stem: str) -> str:
+        # stem, or stem with a suffix that no earlier name has
+        names.append(stem if stem not in names else f"{stem}_{len(names)}")
+        return names[-1]
 
     def leaf(node: _Node, pad: str) -> list[str]:
         if node.leaf == full:
@@ -219,20 +225,20 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
     def children(node: _Node, pad: str) -> list[str]:
         lines = []
         for child in node.children.values():
-            d = child.d
+            d, inner = child.d, pad
+            if child.bits != node.bits:  # else the node's loop tests these
+                lines.append(f"{pad}if mask & {child.bits} != {child.bits}:")
+                inner += "    "
             if d and d % _LEVELS_PER_FUNCTION == 0:
                 # the values chosen above that this level or a later one reads
                 carried = "".join(f", v{e}" for e in sorted(e for e in node.reads if e < d))
-                args = f"{head}, n, i{d - 1}{carried}"
-                functions.append(
-                    [f"def level{d}({args}):", *loop(child, "    "), "    return 0"]
-                )
-                lines += [f"{pad}if level{d}({args}):", f"{pad}    return {full}"]
-            elif child.bits == node.bits:  # the node's loop tests these
-                lines += loop(child, pad)
+                args = f"{head}, n, i{d - 1}{carried}, mask"
+                name = fresh(f"level{d}")
+                functions.append([f"def {name}({args}):", *loop(child, "    "), "    return mask"])
+                call = f"{inner}mask = {name}({args})"
+                lines += [call, f"{inner}if mask == {full}:", f"{inner}    return {full}"]
             else:
-                lines.append(f"{pad}if mask & {child.bits} != {child.bits}:")
-                lines += loop(child, pad + "    ")
+                lines += loop(child, inner)
         return lines
 
     def loop(node: _Node, pad: str) -> list[str]:
@@ -264,9 +270,9 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
         if not node.children:
             return lines
         unread = d not in reads
-        # the sets are made in match, so not for a loop in a chained function
+        # the sets are made in match, so not for a loop in a level function
         if 0 < d < _LEVELS_PER_FUNCTION and min(reads) >= d:
-            name = f"seen{d}" if f"seen{d}" not in seen else f"seen{d}_{len(seen)}"
+            name = fresh(f"seen{d}")
             seen.append(name)
             lines += [
                 f"{pad}if {name}[i{d}]:",
@@ -280,17 +286,11 @@ def _matcher_source(unit: tuple[Perm, ...], board: bool) -> str:
             lines += [f"{pad}if mask & {node.bits} == {node.bits}:", f"{pad}    break"]
         return lines
 
-    if root.leaf == full:  # every pattern is empty
-        body = [f"    return {full}"]
-    else:
-        body = ["    n = len(seq)"]
-        if not board:  # CPython specialises indexing a tuple, not bytes
-            body.insert(0, "    seq = tuple(seq)")
-        if not chained:
-            body.append(f"    mask = {root.leaf}")
-        loops = children(root, "    ")
-        body += [f"    {name} = [0] * n" for name in seen] + loops
-        body.append("    return mask" if not chained else "    return 0")
+    body = ["    n = len(seq)", f"    mask = {root.leaf}"]
+    if not board:  # CPython specialises indexing a tuple, not bytes
+        body.insert(0, "    seq = tuple(seq)")
+    loops = children(root, "    ")
+    body += [f"    {name} = [0] * n" for name in seen] + loops + ["    return mask"]
     lines = [f"def match({head}):", *body]
     for function in functions:
         lines += function
@@ -337,26 +337,9 @@ def _matcher(unit: tuple[Perm, ...], board: bool = False):
     monotone pattern, 12...k or k...1 with k >= 2, is a patience-sorting
     pass over seq (_patience) that keeps its k - 1 tails in local
     variables; every other unit, and every board form, is compiled into
-    nested loops (_matcher_source) that read seq as a tuple.  A pattern
-    longer than _LEVELS_PER_FUNCTION entries in a unit of other patterns is
-    tested by a matcher of its own, and its bit merged into the mask of the
-    rest.
+    nested loops (_matcher_source) that read seq as a tuple, chained past
+    _LEVELS_PER_FUNCTION loops into level functions that carry the mask.
     """
-    parts: dict = {}  # indices into unit: a long pattern's under it, the rest's under None
-    for j, sigma in enumerate(unit):
-        parts.setdefault(sigma if len(sigma) > _LEVELS_PER_FUNCTION else None, []).append(j)
-    if len(parts) > 1:
-        split = [(_matcher(tuple(unit[j] for j in js), board), js) for js in parts.values()]
-
-        def match(*seq) -> int:
-            mask = 0
-            for part, js in split:
-                found = part(*seq)
-                for k, j in enumerate(js):
-                    mask |= (found >> k & 1) << j
-            return mask
-
-        return match
     if not board and len(unit) == 1 and len(unit[0]) > 1:
         (sigma,) = unit
         k = len(sigma)
@@ -466,6 +449,17 @@ def involutions(n: int) -> Iterator[Perm]:
 _INVOLUTION_LIST_MAX_N = 13
 
 
+def _check_listed(n) -> None:
+    # n sizes the involution store: an int >= 0 no larger than its limit.
+    # Every caller that counts over the store checks its largest n here
+    # first, so a size past the limit is refused before any count runs.
+    _check_size(n)
+    if n > _INVOLUTION_LIST_MAX_N:
+        raise InvalidInputError(
+            f"n = {n} is above the involution list limit of {_INVOLUTION_LIST_MAX_N}"
+        )
+
+
 def _rc_image(n: int) -> Callable[[bytes], bytes]:
     # reversed_complement on rows of [n] as a C-level byte translation
     table = bytes(range(n + 1, 0, -1)).ljust(256, b"\0")
@@ -516,11 +510,7 @@ def _rc_orbits(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     >>> [[tuple(row) for row in part] for part in _rc_orbits(3)]
     [[(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]]
     """
-    _check_size(n)
-    if n > _INVOLUTION_LIST_MAX_N:
-        raise InvalidInputError(
-            f"n = {n} is above the involution list limit of {_INVOLUTION_LIST_MAX_N}"
-        )
+    _check_listed(n)
     if n < 2:
         return (), (bytes(range(1, n + 1)),)
     below = _rc_orbits(n - 2)
@@ -555,7 +545,7 @@ def involution_list(n: int) -> tuple[Perm, ...]:
     call, so nothing but the orbits is held between calls.  An n that is
     not an int >= 0, an unhashable one included, or n above 13 raises
     InvalidInputError before anything is built."""
-    _check_size(n)  # before the cache of _rc_orbits hashes n
+    _check_listed(n)  # before the cache of _rc_orbits hashes n
     pairs, fixed = _rc_orbits(n)
     return (*map(tuple, pairs), *map(tuple, fixed), *map(tuple, map(_rc_image(n), pairs)))
 

@@ -1,7 +1,9 @@
 """The verification sweeps themselves (small sizes; acceptance runs big)."""
+import functools
+
 import pytest
 
-from invpat import boards, checks, classify, reduction, slide, tableaux
+from invpat import avoidance, boards, checks, classify, reduction, slide, tableaux
 from invpat.cli import run
 from invpat.errors import (
     InvalidInputError,
@@ -457,6 +459,38 @@ def test_the_prefix_limits_are_refused_before_any_count(monkeypatch):
         with pytest.raises(InvalidInputError):
             checks.run_checks(["prefix"], k_max=k_max)
     assert counted == []
+
+
+def test_a_size_past_the_involution_store_is_refused_before_any_count(monkeypatch, capsys):
+    def refuse(what):
+        @functools.wraps(what)  # run_checks reads a sweep's parameters
+        def count_nothing(*args, **kwargs):
+            raise AssertionError(f"{what.__name__} ran before n was checked")
+
+        return count_nothing
+
+    monkeypatch.setattr(avoidance, "_avoider_counts", refuse(avoidance._avoider_counts))
+    for name, sweep in checks.ALL_CHECKS.items():
+        monkeypatch.setitem(checks.ALL_CHECKS, name, refuse(sweep))
+    calls = [
+        lambda: classify.classify_sk(5, 14),
+        lambda: classify.scan_conjectures(14),
+        lambda: checks.run_checks(["columns"], n_max=14),
+        lambda: checks.run_checks(["prefix"], n_max=14),
+        lambda: checks.run_checks(n_max=14),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="limit of 13"):
+            call()
+    commands = [
+        ["classify", "--k", "5", "--n-max", "14"],
+        ["verify", "--check", "columns", "--n-max", "14"],
+        ["verify", "--check", "prefix", "--n-max", "14"],
+        ["scan", "--n-max", "14"],
+    ]
+    for command in commands:
+        assert run([*command, "--no-timing"]) == 2, command
+        assert "limit of 13" in capsys.readouterr().err
 
 
 # each sweep's planted-fault controls

@@ -1,4 +1,5 @@
 """Permutations, patterns, and containment against a naive oracle."""
+import random
 import re
 import tracemalloc
 from functools import cache
@@ -161,30 +162,57 @@ def test_unit_mask_bits_match_brute_force(case):
     assert perms._matcher(unit, board=True)(dots, (len(word),) * len(word)) == want
 
 
-def test_only_a_one_pattern_unit_may_pass_the_nesting_limit():
+def test_a_unit_of_long_and_short_patterns_is_one_compiled_matcher():
     long = (2, 1, *range(3, 18))  # not monotone, so compiled
     assert perms._matcher((long,))((2, 1, *range(3, 19))) == 1
     assert perms._matcher((long,))(tuple(range(1, 19))) == 0
-    # a unit mixing 18-entry patterns with short ones compiles the short
-    # ones together and each long one alone, and merges their bits
+    # fork's first 16 entries have the pattern of long's, so the two leave
+    # the shared loops for two level functions at depth 16, each called
+    # under the mask guard of its sibling; () alone, or beside (1, 2), is
+    # found before any loop runs
     long = (2, 1, *range(3, 19))
-    unit = ((2, 1), long, (1, 3, 2), long[::-1], (1, 2), long)
+    fork = (3, 2, *range(4, 18), 1, 18)
+    mixed = ((2, 1), long, (1, 3, 2), long[::-1], (1, 2), long, fork)
+    source = perms._matcher_source(mixed, False)
+    levels = re.findall(r"^def (level16\w*)\(", source, re.M)
+    assert len(levels) == 3 and levels[0] == "level16"
+    assert re.search(r"if mask & (\d+) != \1:\n +mask = level16_\d+\(", source)
     words = [
         (),
         (3, 1, 2),
         long[:-1],  # fewer entries than the long patterns
         long,
         long[::-1],
+        fork,
         tuple(range(1, 19)),
         (2, 1, *range(3, 20)),
         (20, *long[::-1], 19),
         (1, 19, *range(3, 18), 2, 18),
+        (*fork[:16], 18, 0, 19),  # long and fork in one word
     ]
-    for word in words:
-        want = sum(naive_contains(word, sigma) << j for j, sigma in enumerate(unit))
-        assert perms._matcher(unit)(word) == want, word
-        dots = [(x + 1, v) for x, v in enumerate(pattern_of(word))]
-        assert perms._matcher(unit, True)(dots, (len(word),) * len(word)) == want, word
+    rng = random.Random(1)
+    for base in (long, fork, long[::-1]):
+        for _ in range(10):  # a few transpositions, so both answers occur
+            word = [*base, 19, 20]
+            for _ in range(rng.randrange(3)):
+                a, b = rng.sample(range(len(word)), 2)
+                word[a], word[b] = word[b], word[a]
+            words.append(tuple(word))
+    for unit in (mixed, ((),), ((), (1, 2))):
+        assert perms._matcher(unit).__code__.co_filename.startswith("<matcher")
+        assert perms._matcher(unit, True).__code__.co_filename.startswith("<matcher")
+        for word in words:
+            want = sum(naive_contains(word, sigma) << j for j, sigma in enumerate(unit))
+            assert perms._matcher(unit)(word) == want, (unit, word)
+            dots = [(x + 1, v) for x, v in enumerate(pattern_of(word))]
+            assert perms._matcher(unit, True)(dots, (len(word),) * len(word)) == want, word
+    # each level function and position set has a name of its own
+    for unit in (*UNITS, mixed, ((),), ((), (1, 2))):
+        for board in (False, True):
+            source = perms._matcher_source(unit, board)
+            names = re.findall(r"^(?:def (\w+)\(|    (\w+) = \[0\] \* n$)", source, re.M)
+            names = [function or seen for function, seen in names]
+            assert len(names) == len(set(names)), (unit, board)
 
 
 # every pattern of length <= 5 as a unit of its own, and the patterns of
