@@ -16,8 +16,10 @@ from typing import Iterable, Sequence
 
 from . import boards
 from .errors import InvalidInputError
+from .growth import monotone_count
 from .perms import (
     Perm,
+    _check_listed,
     _check_size,
     _matcher,
     _rc_orbits,
@@ -203,6 +205,11 @@ def _cell_key(patterns: PatternSet, n: int) -> str:
 def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
     """Number of involutions of [n] avoiding every pattern in the set.
 
+    A set whose patterns are all 12...j or j...1 is counted over partitions
+    by growth.monotone_count on the n x n square; any other set is counted
+    over the involution store, perms._rc_orbits.  Either way an n past the
+    store's limit of 13 is refused before any count.
+
     >>> count_avoiders(7, ["1234"])
     127
     """
@@ -213,16 +220,42 @@ def count_avoiders(n: int, patterns, store: "CountStore | None" = None) -> int:
     return _each_count(n, [ps], store)[0]
 
 
+def _monotone_bounds(cell: PatternSet) -> tuple[int | None, int | None] | None:
+    """(a, b) when every pattern of the cell is 12...j or j...1: a the
+    shortest increasing length and b the shortest decreasing one, None where
+    the cell has none (1 is both).  None when some pattern is neither."""
+    ups, downs = [], []
+    for sigma in cell:
+        up, down = _monotone(len(sigma))
+        if sigma == up:
+            ups.append(len(sigma))
+        if sigma == down:
+            downs.append(len(sigma))
+        elif sigma != up:
+            return None
+    return min(ups, default=None), min(downs, default=None)
+
+
+@cache
+def _monotone(k: int) -> tuple[Perm, Perm]:
+    # 12...k and k...1, built once a length: a classification tests every cell
+    return tuple(range(1, k + 1)), tuple(range(k, 0, -1))
+
+
 def _each_count(
     n: int, cells: list[PatternSet], store: "CountStore | None", pool=None, jobs: int = 1
 ) -> list[int]:
     """The avoider count at n of each pattern set.
 
-    The store is read once per cell.  The cells in neither it nor the memo
-    are counted by _avoider_counts as one batch into the memo, split over
-    jobs interleaved shares of the orbits when a process pool is given.
-    Every cell is then read back through count_avoiders, a memo hit, and
-    the store gets one journal line per cell it lacked.
+    The store is read once per cell.  Of the cells in neither it nor the
+    memo, n past the store's limit is refused.  Each cell of monotone
+    patterns alone is counted into the memo by growth.monotone_count on the
+    n x n square, whose symmetric full placements are the involutions of
+    [n], with the bounds of _monotone_bounds.  The rest are counted by
+    _avoider_counts as one batch into the memo, split over jobs interleaved
+    shares of the orbits when a process pool is given.  Every cell is then
+    read back through count_avoiders, a memo hit, and the store gets one
+    journal line per cell it lacked.
     """
     keys = [_cell_key(cell, n) for cell in cells]
     stored = [None] * len(cells) if store is None else [store.get(key) for key in keys]
@@ -230,6 +263,13 @@ def _each_count(
         if count is not None:
             _known.setdefault((n, cell), count)
     todo = [cell for cell in cells if (n, cell) not in _known]
+    if todo:
+        _check_listed(n)
+    for cell in todo:
+        bounds = _monotone_bounds(cell)
+        if bounds is not None:
+            _known[n, cell] = monotone_count((n,) * n, *bounds)
+    todo = [cell for cell in todo if (n, cell) not in _known]
     if todo:
         if pool is None:
             counts = _avoider_counts(n, todo)

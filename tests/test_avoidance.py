@@ -93,16 +93,41 @@ def test_hook_length_sum_matches_count_avoiders(monkeypatch):
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_monotone_counts_past_n_10_match_the_hook_length_sum(n, monkeypatch):
-    # 12...k and k...1 are each tested by one generated patience-sorting
-    # pass that holds its k - 1 tails in locals (the nested loops are not
-    # compiled for them), and both sets are their own reversed complement,
-    # so only one member of each orbit is tested.  n = 11 and 12 are past
-    # what the brute-force tests reach.
+    # a set of monotone patterns alone is counted over partitions by
+    # growth.monotone_count, which reads no involution; n = 11 and 12 are
+    # past what the brute-force tests reach
     monkeypatch.setattr(avoidance, "_known", {})
+
+    def scan(*args):
+        raise AssertionError("scanned the orbits for a monotone set")
+
+    monkeypatch.setattr(avoidance, "_avoider_counts", scan)
     for k in (4, 5, 6):
         want = hook_length_sum(n, k)
         assert count_avoiders(n, [tuple(range(1, k + 1))]) == want
         assert count_avoiders(n, [tuple(range(k, 0, -1))]) == want
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_monotone_scans_past_n_10_match_the_hook_length_sum(n):
+    # the scan of the orbits, which count_avoiders no longer runs on these
+    # sets: 12...k and k...1 are each tested by one generated
+    # patience-sorting pass that holds its k - 1 tails in locals (the nested
+    # loops are not compiled for them), and both sets are their own
+    # reversed complement, so only one member of each orbit is tested
+    for k in (4, 5, 6):
+        want = hook_length_sum(n, k)
+        assert _avoider_counts(n, [frozenset([tuple(range(1, k + 1))])]) == [want]
+        assert _avoider_counts(n, [frozenset([tuple(range(k, 0, -1))])]) == [want]
+
+
+def test_a_monotone_count_past_the_store_is_refused(monkeypatch):
+    # the transfer count could reach n = 14, but every cell keeps the
+    # store's limit, refused by the same check as before any scan
+    monkeypatch.setattr(avoidance, "_known", {})
+    for patterns in (["1234"], ["4321"], ["123", "54321"], ["1324"]):
+        with pytest.raises(InvalidInputError, match="limit of 13"):
+            count_avoiders(14, patterns)
 
 
 @cache

@@ -470,6 +470,7 @@ def test_a_size_past_the_involution_store_is_refused_before_any_count(monkeypatc
         return count_nothing
 
     monkeypatch.setattr(avoidance, "_avoider_counts", refuse(avoidance._avoider_counts))
+    monkeypatch.setattr(avoidance, "monotone_count", refuse(avoidance.monotone_count))
     for name, sweep in checks.ALL_CHECKS.items():
         monkeypatch.setitem(checks.ALL_CHECKS, name, refuse(sweep))
     calls = [
@@ -491,6 +492,28 @@ def test_a_size_past_the_involution_store_is_refused_before_any_count(monkeypatc
     for command in commands:
         assert run([*command, "--no-timing"]) == 2, command
         assert "limit of 13" in capsys.readouterr().err
+
+
+def test_an_rsk_sweep_past_s_9_is_refused_before_any_sweep(monkeypatch, capsys):
+    # the sweep lists all n! words for each n up to n_max: S_12 would take days
+    def refuse(what):
+        @functools.wraps(what)  # run_checks reads a sweep's parameters
+        def sweep_nothing(*args, **kwargs):
+            raise AssertionError(f"{what.__name__} ran before n_max was checked")
+
+        return sweep_nothing
+
+    for name, sweep in checks.ALL_CHECKS.items():
+        monkeypatch.setitem(checks.ALL_CHECKS, name, refuse(sweep))
+    for names in (["rsk"], ["columns", "rsk"], None):
+        with pytest.raises(InvalidInputError, match="rsk sweep's limit of 9"):
+            checks.run_checks(names, n_max=10)
+    assert run(["verify", "--check", "rsk", "--n-max", "12", "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "rsk sweep's limit of 9" in err
+    # a sweep that does not walk S_n takes the same n_max
+    with pytest.raises(AssertionError, match="ran before"):
+        checks.run_checks(["columns"], n_max=10)
 
 
 # each sweep's planted-fault controls

@@ -81,6 +81,7 @@ def test_a_repeated_classification_counts_nothing(monkeypatch, jobs):
 
     monkeypatch.setattr(avoidance, "_avoiding", count_nothing)
     monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
+    monkeypatch.setattr(avoidance, "monotone_count", count_nothing)
     assert classify_sk(4, 8, jobs=jobs) == first
     assert count_avoiders(8, ["1234"]) == 323
 
@@ -94,6 +95,7 @@ def test_stored_cells_are_not_counted(monkeypatch, tmp_path):
         raise AssertionError("counted a cell the store holds")
 
     monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
+    monkeypatch.setattr(avoidance, "monotone_count", count_nothing)
     assert classify_sk(4, 8, store=CountStore(path)) == first
 
 

@@ -86,6 +86,16 @@ def test_count_past_the_involution_list_limit_is_refused(capsys):
     assert "limit of 13" in err
 
 
+@pytest.mark.parametrize("patterns", ["1234", "4321", "123456,4321", "1324"])
+def test_a_count_at_n_14_is_refused_whether_or_not_its_set_is_monotone(capsys, patterns):
+    # a monotone set is counted over partitions, which could reach n = 14,
+    # but keeps the limit of every other set
+    assert run(["count", "--n", "14", "--patterns", patterns, "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert "limit of 13" in err
+
+
 def test_shapes_and_placements(capsys):
     assert run(["shapes", "--max-side", "2", "--no-timing"]) == 0
     out, _ = out_of(capsys)
@@ -467,6 +477,7 @@ def test_store_path_in_a_missing_directory_is_refused(tmp_path, capsys, monkeypa
         raise AssertionError("counted before the store path was checked")
 
     monkeypatch.setattr(avoidance, "_avoider_counts", count_nothing)
+    monkeypatch.setattr(avoidance, "monotone_count", count_nothing)  # 12 is monotone
     path = tmp_path / "nodir" / "x.store"
     argv = ["count", "--n", "3", "--patterns", "12", "--cache", str(path), "--no-timing"]
     assert run(argv) == 2
