@@ -254,8 +254,8 @@ def _each_count(
     [n], with the bounds of _monotone_bounds.  The rest are counted by
     _avoider_counts as one batch into the memo, split over jobs interleaved
     shares of the orbits when a process pool is given.  Every cell is then
-    read back through count_avoiders, a memo hit, and the store gets one
-    journal line per cell it lacked.
+    read back through count_avoiders, a memo hit, and the store gets the
+    cells it lacked, in order, in one append.
     """
     keys = [_cell_key(cell, n) for cell in cells]
     stored = [None] * len(cells) if store is None else [store.get(key) for key in keys]
@@ -282,9 +282,9 @@ def _each_count(
             _known[n, cell] = count
     column = [count_avoiders(n, cell) for cell in cells]
     if store is not None:
-        for key, count, hit in zip(keys, column, stored):
-            if hit is None:
-                store.put(key, count)
+        store.update(
+            (key, count) for key, count, hit in zip(keys, column, stored) if hit is None
+        )
     return column
 
 
@@ -435,10 +435,12 @@ class CountStore:
     """Append-only journal mapping 'patterns|n' keys to exact counts.
 
     Line 1 is the versioned header ``_HEADER``; every later line is one JSON
-    ``[key, count]`` pair.  Each put appends its line with a single write, so
-    nothing already on disk is rewritten.  A key may repeat with the same
-    count (two processes sharing one file); any other deviation makes the
-    whole store corrupt, and loading it raises ``InvalidInputError``.
+    ``[key, count]`` pair.  Each update appends the lines of its batch with a
+    single write, one append per counted batch, and a put alone appends its
+    line at once, so nothing already on disk is rewritten.  A key may repeat
+    with the same count (two processes sharing one file); any other
+    deviation makes the whole store corrupt, and loading it raises
+    ``InvalidInputError``.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -492,12 +494,35 @@ class CountStore:
     def get(self, key: str) -> int | None:
         return self._data.get(key)
 
-    def put(self, key: str, value: int) -> None:
+    def put(self, key: str, value: int, *, save: bool = True) -> None:
+        """Record one count; its journal line is appended now, or by the
+        next save when save is false."""
         old = self._data.get(key, value)
         if old != value:  # a journal line cannot be taken back
             raise InvalidInputError(f"count store {self.path} holds {key!r} = {old}, not {value}")
         self._data[key] = value
         self._unsaved.append(json.dumps([key, value]).encode() + b"\n")
+        if save:
+            self.save()
+
+    def update(self, pairs: Iterable[tuple[str, int]]) -> None:
+        """Put each (key, count) pair, in order, with one append for the
+        batch; an empty batch opens no file.  Every pair is checked against
+        the store and the pairs before it first, so a batch that gives some
+        key a second count records none of its pairs."""
+        pairs = list(pairs)
+        if not pairs:
+            return
+        given: dict[str, int] = {}
+        for key, value in pairs:
+            old = given.setdefault(key, self._data.get(key, value))
+            if old != value:  # a journal line cannot be taken back
+                raise InvalidInputError(
+                    f"count store {self.path}: {key!r} is given {value}, but {old}"
+                    " is already recorded or earlier in the batch"
+                )
+        for key, value in pairs:
+            self.put(key, value, save=False)
         self.save()
 
     def save(self) -> None:

@@ -173,33 +173,43 @@ def pattern_masks(placements, patterns, columns=None) -> list[int]:
 
 
 def enumerate_full_placements(shape: Shape) -> Iterator[Placement]:
-    """Yield every full placement on the shape, columns filled left to right.
+    """Yield every full placement on the shape.
+
+    Columns are filled right to left, shortest first, each from the rows it
+    reaches that no column right of it holds, tried from the top down.  On a
+    Ferrers board those columns' rows all lie within its height, so column x
+    has heights[x-1] - (n - x) rows to try: a shape where that is 0 for some
+    column has no full placement, and on any other the walk never backs out
+    of a column it could not fill.
 
     >>> [p.dots for p in enumerate_full_placements((2, 1))]
     [((1, 2), (2, 1))]
+    >>> [p.dots for p in enumerate_full_placements((2, 2))]
+    [((1, 1), (2, 2)), ((1, 2), (2, 1))]
     """
     shape = validate_shape(shape)
-    n_rows = len(shape)
-    n_cols = shape[0] if shape else 0
-    if n_rows != n_cols:
+    n = len(shape)
+    if n != (shape[0] if shape else 0):
         return
     heights = conjugate(shape)
-    used = [False] * (n_rows + 1)
-    dots: list[Box] = []
+    if any(h < n - x for x, h in enumerate(heights)):
+        return
+    used = [False] * (n + 1)
+    dots: list[Box] = []  # the dots of columns n, n - 1, ..., right to left
 
     def fill(x: int) -> Iterator[Placement]:
-        if x > n_cols:
-            yield Placement(shape, tuple(dots))
+        if x == 0:
+            yield Placement(shape, dots)
             return
-        for y in range(1, heights[x - 1] + 1):
+        for y in range(heights[x - 1], 0, -1):
             if not used[y]:
                 used[y] = True
                 dots.append((x, y))
-                yield from fill(x + 1)
+                yield from fill(x - 1)
                 dots.pop()
                 used[y] = False
 
-    yield from fill(1)
+    yield from fill(n)
 
 
 def enumerate_symmetric_full_placements(shape: Shape) -> Iterator[Placement]:

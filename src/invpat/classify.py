@@ -47,13 +47,17 @@ class ClassReport:
 
 
 def symmetry_classes(k: int) -> list[tuple[Perm, ...]]:
-    """The symmetry classes of S_k, each sorted, listed by least member."""
-    seen: set[frozenset[Perm]] = set()
+    """The symmetry classes of S_k, each sorted, listed by least member.
+
+    Each class is built once, from its first member in lexicographic order;
+    every later member is skipped.
+    """
+    seen: set[Perm] = set()
     out = []
     for pi in permutations(range(1, k + 1)):
-        cls = symmetry_class(pi)
-        if cls not in seen:
-            seen.add(cls)
+        if pi not in seen:
+            cls = symmetry_class(pi)
+            seen.update(cls)
             out.append(tuple(sorted(cls)))
     return sorted(out)
 

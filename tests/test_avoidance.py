@@ -24,9 +24,16 @@ from invpat.avoidance import (
     pattern_set,
     pattern_set_key,
 )
-from invpat.classify import symmetry_classes
+from invpat.classify import classify_sk, symmetry_classes
 from invpat.errors import InvalidInputError, InvalidShapeError, InvalidWordError
-from invpat.perms import contains, inverse, involutions, pattern_of, reversed_complement
+from invpat.perms import (
+    contains,
+    inverse,
+    involutions,
+    pattern_of,
+    perm_to_text,
+    reversed_complement,
+)
 
 
 def test_pattern_set_normalizes_and_rejects_empty():
@@ -495,6 +502,58 @@ def test_count_store_put_refuses_a_different_count(tmp_path):
     with pytest.raises(InvalidInputError, match="123\\|5"):
         store.put("123|5", 11)
     assert CountStore(path).get("123|5") == 10
+
+
+def test_count_store_batch_refuses_a_conflict_before_recording_any_pair(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    store = CountStore(path)
+    store.put("123|5", 10)
+    before = path.read_bytes()
+    with pytest.raises(InvalidInputError, match="123\\|5"):
+        store.update([("12|3", 1), ("123|5", 11)])
+    # a batch giving a new key two counts is refused the same way
+    with pytest.raises(InvalidInputError, match="1234\\|7"):
+        store.update([("1234|7", 127), ("12|3", 1), ("1234|7", 126)])
+    assert path.read_bytes() == before
+    for reader in (store, CountStore(path)):
+        assert [reader.get(k) for k in ("123|5", "12|3", "1234|7")] == [10, None, None]
+
+
+def test_count_store_empty_batch_creates_no_file(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    CountStore(path).update([])
+    assert not path.exists()
+
+
+def test_count_store_put_without_save_waits_for_the_next_save(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    store = CountStore(path)
+    store.put("123|5", 10, save=False)
+    assert store.get("123|5") == 10 and not path.exists()
+    store.put("12|3", 1)
+    assert path.read_text() == HEADER + '["123|5", 10]\n["12|3", 1]\n'
+
+
+def test_count_store_batches_of_two_stores_sharing_a_file_load(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    first, second = CountStore(path), CountStore(path)
+    first.update([("123|5", 10), ("12|3", 1)])
+    second.update([("12|3", 1), ("1234|7", 127)])
+    lines = [HEADER, '["123|5", 10]\n', '["12|3", 1]\n', '["12|3", 1]\n', '["1234|7", 127]\n']
+    assert path.read_text() == "".join(lines)
+    again = CountStore(path)
+    assert [again.get(k) for k in ("123|5", "12|3", "1234|7")] == [10, 1, 127]
+
+
+def test_classify_journal_is_the_lines_put_one_at_a_time(tmp_path):
+    batched, single = tmp_path / "batched.jsonl", tmp_path / "single.jsonl"
+    classify_sk(5, 8, store=CountStore(batched))
+    store = CountStore(single)
+    # each n in turn, the classes by least member: the order of the cells
+    for n in (6, 7, 8):
+        for cls in symmetry_classes(5):
+            store.put(f"{perm_to_text(cls[0])}|{n}", count_avoiders(n, [cls[0]]))
+    assert batched.read_bytes() == single.read_bytes()
 
 
 @pytest.mark.parametrize(

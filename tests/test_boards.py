@@ -1,5 +1,5 @@
 """Shapes, placements, and board containment."""
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -306,6 +306,25 @@ def test_full_placement_counts_on_squares():
 
 def test_full_placements_need_square_row_column_counts():
     assert list(enumerate_full_placements((2, 2, 1))) == []
+
+
+def test_full_placements_match_a_filter_of_the_permutations():
+    # every shape of side n <= 7 with n rows: the full placements are the
+    # permutations whose entry in column x is no higher than that column
+    for n in range(8):
+        perms = list(permutations(range(1, n + 1)))
+        for rest in combinations_with_replacement(range(n, 0, -1), max(n - 1, 0)):
+            shape = (n, *rest) if n else ()
+            want = perms
+            for x, height in enumerate(conjugate(shape)):
+                want = [pi for pi in want if pi[x] <= height]
+            got = sorted(tuple(y for _, y in p.dots) for p in enumerate_full_placements(shape))
+            assert got == want, shape
+
+
+def test_the_staircase_has_one_full_placement():
+    (p,) = enumerate_full_placements(tuple(range(30, 0, -1)))
+    assert p.dots == tuple((x, 31 - x) for x in range(1, 31))
 
 
 def test_symmetric_full_placement_counts_match_involutions():

@@ -20,19 +20,21 @@ from invpat.perms import perm_from_text, perm_to_text, symmetry_class
 
 
 def test_symmetry_class_counts():
-    assert len(symmetry_classes(3)) == 4
-    assert len(symmetry_classes(4)) == 13
-    assert len(symmetry_classes(5)) == 45
+    counts = [len(symmetry_classes(k)) for k in range(1, 8)]
+    assert counts == [1, 2, 4, 13, 45, 230, 1388]
 
 
 def test_symmetry_classes_partition_sk():
     from math import factorial
 
-    for k in (3, 4, 5):
+    for k in range(1, 8):
         classes = symmetry_classes(k)
         members = [p for cls in classes for p in cls]
         assert len(members) == factorial(k)
         assert len(set(members)) == factorial(k)
+        # each is a whole orbit, sorted, and they come by least member
+        assert all(cls == tuple(sorted(symmetry_class(cls[0]))) for cls in classes)
+        assert classes == sorted(classes)
 
 
 def test_classify_s3_groups():
@@ -116,6 +118,24 @@ def test_classify_puts_one_journal_line_per_cell(tmp_path):
     assert sorted(key for key, _ in added) == sorted(f"{perm_to_text(c[0])}|9" for c in classes)
     assert again == classify_sk(5, 9)
     assert {vec[:3] for vec, _ in again.groups} == {vec for vec, _ in first.groups}
+
+
+def test_classify_appends_once_per_n_it_counts(tmp_path, monkeypatch):
+    path = tmp_path / "counts"
+    saves = []
+    real = CountStore.save
+
+    def save(store):
+        saves.append(store)
+        real(store)
+
+    monkeypatch.setattr(CountStore, "save", save)
+    classify_sk(5, 8, store=CountStore(path))
+    assert len(saves) == 3
+    # every cell is stored: the batches are empty and the file is not opened
+    before = path.read_bytes()
+    classify_sk(5, 8, store=CountStore(path))
+    assert len(saves) == 3 and path.read_bytes() == before
 
 
 def test_golden_fixture_classes_are_symmetry_classes():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from invpat import checks
+from invpat import boards, checks, cli
 from invpat.cli import parse_patterns, run
 from invpat.errors import InvalidInputError
 
@@ -105,6 +105,18 @@ def test_shapes_and_placements(capsys):
     ) == 0
     out, _ = out_of(capsys)
     assert out == "2\n"
+
+
+def test_shapes_past_the_side_limit_is_refused_before_any_shape(capsys, monkeypatch):
+    def build_nothing(max_side):
+        raise AssertionError("built shapes past the limit")
+
+    monkeypatch.setattr(boards, "enumerate_self_conjugate_shapes", build_nothing)
+    side = cli._SHAPES_MAX_SIDE + 1
+    assert run(["shapes", "--max-side", str(side), "--no-timing"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert f"limit of {cli._SHAPES_MAX_SIDE}" in err
 
 
 def test_rsk_round_trip_via_cli(capsys):
